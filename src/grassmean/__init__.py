@@ -47,7 +47,6 @@ from .karcher import (
     KarcherProblem,
     backtracking_step,
     default_init,
-    direction_coefficient,
     karcher_cost,
     karcher_gradient,
     karcher_mean,

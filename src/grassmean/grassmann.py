@@ -4,7 +4,8 @@ A point is an n-by-n Hermitian projector P with trace m; a tangent vector at P
 is a Hermitian H with [P, [P, H]] = H. In this picture geodesics, parallel
 transport and the exponential map are all unitary conjugation flows
 e^{t[H,P]} (.) e^{-t[H,P]}, and the logarithm and geodesic distance come from
-principal angles between the two subspaces.
+principal angles between the two subspaces, which one batched kernel computes
+from orthonormal bases.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ TANGENT_TOL = 1e-10
 STIEFEL_TOL = 1e-10
 BASE_MATCH_TOL = 1e-8
 CUT_LOCUS_TOL = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,11 +128,11 @@ class TangentVector:
         return TangentVector(self.base, -self.matrix)
 
     def __add__(self, other):
-        require_same_base(self, other)
+        require_anchored(other, self.base)
         return TangentVector(self.base, self.matrix + other.matrix)
 
     def __sub__(self, other):
-        require_same_base(self, other)
+        require_anchored(other, self.base)
         return TangentVector(self.base, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
@@ -144,19 +146,9 @@ class TangentVector:
         return f"TangentVector(n={self.base.dim}, m={self.base.rank}, norm={self.norm():.3e})"
 
 
-def require_same_base(first: TangentVector, second: TangentVector,
-                      tol: float = BASE_MATCH_TOL) -> None:
-    if first.base is second.base:
-        return
-    if first.base.dim != second.base.dim or first.base.rank != second.base.rank:
-        raise InvalidInputError("tangent vectors live on different Grassmannians")
-    gap = np.linalg.norm(first.base.matrix - second.base.matrix)
-    if gap > tol:
-        raise InvalidInputError(f"tangent vectors anchored at different points (gap {gap:.3e})")
-
-
 def require_anchored(vector: TangentVector, point: GrassmannPoint,
                      tol: float = BASE_MATCH_TOL) -> None:
+    """Reject ``vector`` unless its base is ``point`` to within ``tol``."""
     if vector.base is point:
         return
     if vector.base.dim != point.dim or vector.base.rank != point.rank:
@@ -216,7 +208,7 @@ def tangent_project(point: GrassmannPoint, value) -> TangentVector:
 
 def metric(first: TangentVector, second: TangentVector) -> float:
     """Riemannian inner product tr(H1 H2); real for Hermitian arguments."""
-    require_same_base(first, second)
+    require_anchored(second, first.base)
     return float(np.einsum("ij,ji->", first.matrix, second.matrix).real)
 
 
@@ -250,58 +242,85 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     Both inputs must be anchored at the same point; the result is anchored at
     the geodesic point at parameter t. Transport is a metric isometry.
     """
-    require_same_base(vector, velocity)
     point = vector.base
+    require_anchored(velocity, point)
     mover = _flow(point, velocity, t)
     new_base = GrassmannPoint(mover @ point.matrix @ mover.conj().T, point.rank)
     return TangentVector(new_base, mover @ vector.matrix @ mover.conj().T)
 
 
-def _cos2_spectrum(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
-    """Squared principal-angle cosines, descending: eigenvalues of Yh P Y."""
-    basis = basis_from_projector(other).matrix
-    block = basis.conj().T @ point.matrix @ basis
-    vals = np.linalg.eigvalsh(block)[::-1]
-    return linalg.clamp_spectrum(vals, (0.0, 1.0))
+def _overlap_svd(square: np.ndarray, vectors: bool):
+    """SVD L C R^H of each m-by-m overlap in a stack, singular values descending.
+
+    Returns C alone, or (L, C, R^H) when ``vectors`` is set. A 1x1 overlap is
+    factored in closed form, as its modulus and phase: LAPACK's fixed cost per
+    matrix would dominate a stack of scalars.
+    """
+    if square.shape[-1] > 1:
+        return np.linalg.svd(square, compute_uv=vectors)
+    cos = np.abs(square[:, :, 0])
+    if not vectors:
+        return cos
+    return square / np.maximum(cos, _TINY)[:, :, np.newaxis], cos, np.ones_like(square)
+
+
+def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
+                      x2: np.ndarray = None):
+    """Principal angles between span(x) and each span(ys[i]), and their logs.
+
+    ``x`` is an orthonormal n-by-m basis and ``ys`` a stack (N, n, m) of them.
+    One GEMM forms every overlap Y_i^H X (and Y_i^H X2 when the complement
+    ``x2`` is given) and one batched SVD factors them as L C R^H. Returns the
+    angles arccos(C), shape (N, m), ascending per datum, and, when ``x2`` is
+    given, the sum over i of the log blocks R diag(theta / sin theta) L^H
+    Y_i^H X2, an m-by-(n-m) matrix: the top-right block, in the frame [X X2],
+    of sum_i log_X(span Y_i) (Edelman, Arias & Smith 1998). A datum whose
+    smallest squared cosine is at most ``cut_tol`` raises CutLocusError with
+    the index of the worst such datum; ``None`` skips the check.
+    """
+    count, n, m = ys.shape
+    cols = x if x2 is None else np.hstack([x, x2])
+    over = (ys.conj().transpose(0, 2, 1).reshape(count * m, n) @ cols).reshape(count, m, -1)
+    if x2 is None:
+        cos = _overlap_svd(over, False)
+    else:
+        left, cos, right_h = _overlap_svd(over[:, :, :m], True)
+    cos = np.minimum(cos, 1.0)
+    if cut_tol is not None:
+        low = cos[:, -1] ** 2
+        if low.min() <= cut_tol:
+            raise CutLocusError("a datum is at the cut locus of the evaluation point",
+                                index=int(low.argmin()))
+    angles = np.arccos(cos)
+    if x2 is None:
+        return angles, None
+    floored = np.maximum(angles, _TINY)  # theta / sin(theta) -> 1 at theta = 0
+    right = right_h.conj().transpose(0, 2, 1) * (floored / np.sin(floored))[:, np.newaxis, :]
+    coef = right @ left.conj().transpose(0, 2, 1)  # (N, m, m)
+    # sum_i coef_i (Y_i^H X2) as one GEMM over the stacked (datum, column) index
+    stacked = coef.transpose(1, 0, 2).reshape(m, count * m)
+    return angles, stacked @ over[:, :, m:].reshape(count * m, -1)
+
+
+def _tangent_matrix(x: np.ndarray, x2: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Hermitian matrix whose block in the frame [X X2] is [[0, B], [B^H, 0]]."""
+    half = x @ block @ x2.conj().T
+    return half + half.conj().T
 
 
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
-    return np.arccos(np.sqrt(_cos2_spectrum(point, other)))
+    x = basis_from_projector(point).matrix
+    y = basis_from_projector(other).matrix
+    angles, _ = _principal_angles(x, y[np.newaxis])
+    return angles[0]
 
 
 def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
     """Geodesic distance: sqrt(2 * sum of squared principal angles)."""
-    _require_same_space(point, other)
-    angles = np.arccos(np.sqrt(_cos2_spectrum(point, other)))
+    angles = principal_angles(point, other)
     return float(np.sqrt(2.0 * np.sum(angles * angles)))
-
-
-def log_block(conjugated: np.ndarray, rank: int, cut_tol: float = CUT_LOCUS_TOL,
-              index=None) -> np.ndarray:
-    """Z-block of the geodesic generator reaching ``conjugated`` from the
-    standard projector diag(I_m, 0).
-
-    ``conjugated`` is the target projector expressed in a frame of the start
-    point. The SVD of its top-right block pairs each left singular vector with
-    a squared cosine on the diagonal of the rotated top-left block; the angles
-    are arccos of the square roots. Returns the (n-m)-by-m block Z.
-    """
-    m = rank
-    top_left = conjugated[:m, :m]
-    top_right = conjugated[:m, m:]
-    u, _, vh = np.linalg.svd(top_right)
-    lam = np.clip(np.real(np.diag(u.conj().T @ top_left @ u)), 0.0, 1.0)
-    if lam.min() <= cut_tol:
-        raise CutLocusError(
-            "subspaces share a principal angle at pi/2; the geodesic is not unique",
-            index=index)
-    sigma = np.arccos(np.sqrt(lam))
-    k = min(m, conjugated.shape[0] - m)
-    rect = np.zeros((m, conjugated.shape[0] - m))
-    rect[:k, :k] = np.diag(sigma[:k])
-    return (u @ rect @ vh).conj().T
 
 
 def log(point: GrassmannPoint, target: GrassmannPoint,
@@ -312,13 +331,9 @@ def log(point: GrassmannPoint, target: GrassmannPoint,
     above ``cut_tol``), otherwise CutLocusError.
     """
     _require_same_space(point, target)
-    n, m = point.dim, point.rank
-    if m == n:
-        return zero_tangent(point)
+    m = point.rank
     frame = complete_frame(basis_from_projector(point).matrix)
-    conjugated = frame.conj().T @ target.matrix @ frame
-    z = log_block(conjugated, m, cut_tol)
-    lifted = np.zeros((n, n), dtype=complex)
-    lifted[:m, m:] = z.conj().T
-    lifted[m:, :m] = z
-    return TangentVector(point, frame @ lifted @ frame.conj().T)
+    x, x2 = frame[:, :m], frame[:, m:]
+    y = basis_from_projector(target).matrix
+    _, block = _principal_angles(x, y[np.newaxis], cut_tol, x2)
+    return TangentVector(point, _tangent_matrix(x, x2, block))

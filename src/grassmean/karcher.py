@@ -1,9 +1,10 @@
 """Karcher means of subspaces by geometric conjugate gradient.
 
-The cost is the mean squared geodesic distance to a fixed set of points. The
-gradient at P is assembled datum by datum from the SVD of the off-diagonal
-block of each datum's projector expressed in a frame of P, which is the
-inverse exponential computed in place. The solver walks geodesics, transports
+The cost is the mean squared geodesic distance to a fixed set of points. Cost
+and gradient both come from one batched principal-angle kernel applied to the
+whole stack of data bases at once: the cost sums the squared angles, and the
+gradient sums the log blocks, which are the inverse exponentials of the data
+expressed in a unitary frame of P. The solver walks geodesics, transports
 the previous search direction, and supports the classical conjugate-direction
 coefficient rules plus an exact-Newton step size on rank-one Grassmannians
 (projective space).
@@ -27,10 +28,11 @@ from .grassmann import (
     CUT_LOCUS_TOL,
     GrassmannPoint,
     TangentVector,
+    _principal_angles,
+    _tangent_matrix,
     basis_from_projector,
     commutator,
     complete_frame,
-    log_block,
     metric,
     projector_from_basis,
     require_anchored,
@@ -148,11 +150,6 @@ def _require_member(problem: KarcherProblem, point: GrassmannPoint) -> None:
         raise InvalidInputError("point does not live on the problem's Grassmannian")
 
 
-def _cos2_to_sq_dist(lam: np.ndarray) -> float:
-    angles = np.arccos(np.sqrt(lam))
-    return float(2.0 * np.sum(angles * angles))
-
-
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
                  cut_tol: float = CUT_LOCUS_TOL) -> float:
     """Mean squared geodesic distance from ``point`` to the problem data.
@@ -161,96 +158,39 @@ def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
     injectivity domain of some datum.
     """
     _require_member(problem, point)
-    proj = point.matrix
-    if problem.rank == 1:
-        stacked = problem.bases[:, :, 0].T  # (n, N)
-        lam = np.clip(np.einsum("ni,nm,mi->i", stacked.conj(), proj, stacked).real, 0.0, 1.0)
-        if lam.min() <= cut_tol:
-            raise CutLocusError("a datum is at the cut locus of the evaluation point",
-                                index=int(lam.argmin()))
-        return _cos2_to_sq_dist(lam) / problem.size
-    total = 0.0
-    for i in range(problem.size):
-        basis = problem.bases[i]
-        block = basis.conj().T @ proj @ basis
-        lam = np.clip(np.linalg.eigvalsh(block), 0.0, 1.0)
-        if lam.min() <= cut_tol:
-            raise CutLocusError("a datum is at the cut locus of the evaluation point", index=i)
-        total += _cos2_to_sq_dist(lam)
-    return total / problem.size
+    return _cost_from_basis(problem, basis_from_projector(point).matrix, cut_tol)
 
 
 def _cost_from_basis(problem: KarcherProblem, basis: np.ndarray,
                      cut_tol: float = CUT_LOCUS_TOL) -> float:
     """Karcher cost of the span of an exactly orthonormal ``basis``.
 
-    The solver evaluates every trial point through this routine: squared
-    cosines come out as Rayleigh quotients of a genuine subspace, so the
-    off-manifold rounding junk of a conjugated projector (which the cost is
-    sensitive to at first order through the normal directions) never enters,
-    and cost differences near convergence stay meaningful down to a few ulps.
+    The principal angles come from the singular values of the overlaps
+    Y_i^H X of genuine orthonormal bases, so the off-manifold rounding junk of
+    a conjugated projector (which the cost is sensitive to at first order
+    through the normal directions) never enters, and cost differences near
+    convergence stay meaningful down to a few ulps.
     """
-    if problem.rank == 1:
-        stacked = problem.bases[:, :, 0]  # (N, n)
-        lam = np.clip(np.abs(stacked.conj() @ basis[:, 0]) ** 2, 0.0, 1.0)
-        if lam.min() <= cut_tol:
-            raise CutLocusError("a datum is at the cut locus of the evaluation point",
-                                index=int(lam.argmin()))
-        return _cos2_to_sq_dist(lam) / problem.size
-    total = 0.0
-    for i in range(problem.size):
-        overlap = problem.bases[i].conj().T @ basis
-        lam = np.clip(np.linalg.svd(overlap, compute_uv=False) ** 2, 0.0, 1.0)
-        if lam.min() <= cut_tol:
-            raise CutLocusError("a datum is at the cut locus of the evaluation point", index=i)
-        total += _cos2_to_sq_dist(lam)
-    return total / problem.size
+    angles, _ = _principal_angles(basis, problem.bases, cut_tol)
+    return float(2.0 * np.sum(angles * angles)) / problem.size
 
 
 def _gradient_sum(problem: KarcherProblem, point: GrassmannPoint, frame,
                   cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
     """Minus the sum of the inverse exponentials of the data at ``point``.
 
-    This is the residual field of the critical-point equation (the sum of the
-    data logs transported nowhere, since they are already at ``point``); it
-    equals N/2 times the gradient of karcher_cost. The solver searches along
-    and stops on this field: with it, a unit trial step is the exact
-    minimizer for one datum, so backtracking from step 1 is well scaled.
+    The kernel sums every datum's log block in the unitary frame [X1 X2] of
+    ``point`` in one batch; that sum, lifted back out of the frame, is the
+    residual field of the critical-point equation (the sum of the data logs
+    transported nowhere, since they are already at ``point``). It equals N/2
+    times the gradient of karcher_cost. The solver searches along and stops
+    on this field: with it, a unit trial step is the exact minimizer for one
+    datum, so backtracking from step 1 is well scaled.
     """
-    n, m, count = problem.dim, problem.rank, problem.size
-    x1 = frame[:, :m]
-    x2 = frame[:, m:]
-    if m == 1:
-        stacked = problem.bases[:, :, 0].T  # (n, N)
-        coef = (x1.conj().T @ stacked).ravel()
-        rows = stacked.conj().T @ x2  # (N, n-1) rows y_i^H X2
-        lam = np.clip(np.abs(coef) ** 2, 0.0, 1.0)
-        if lam.min() <= cut_tol:
-            raise CutLocusError("a datum is at the cut locus of the evaluation point",
-                                index=int(lam.argmin()))
-        sigma = np.arccos(np.sqrt(lam))
-        sines = np.sqrt(lam * (1.0 - lam))
-        scale = np.ones_like(sigma)
-        mask = sines > 1e-150
-        scale[mask] = sigma[mask] / sines[mask]
-        accum = (scale * coef) @ rows  # (n-1,) top-right block, row vector
-        accum = accum[np.newaxis, :]
-    else:
-        accum = np.zeros((m, n - m), dtype=complex)
-        for i in range(count):
-            basis = problem.bases[i]
-            left = x1.conj().T @ basis          # m x m
-            right = basis.conj().T @ x2         # m x (n-m)
-            conj_left = left @ left.conj().T
-            conj_right = left @ right
-            block = np.zeros((n, n), dtype=complex)
-            block[:m, :m] = conj_left
-            block[:m, m:] = conj_right
-            accum += log_block(block, m, cut_tol, index=i).conj().T
-    lifted = np.zeros((n, n), dtype=complex)
-    lifted[:m, m:] = accum
-    lifted[m:, :m] = accum.conj().T
-    return TangentVector(point, -(frame @ lifted @ frame.conj().T))
+    m = problem.rank
+    x1, x2 = frame[:, :m], frame[:, m:]
+    _, block = _principal_angles(x1, problem.bases, cut_tol, x2)
+    return TangentVector(point, -_tangent_matrix(x1, x2, block))
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint, frame=None,
@@ -372,20 +312,6 @@ def _coefficient(rule: str, grad_new: TangentVector, grad_moved: TangentVector,
     if den == 0.0 or not np.isfinite(num / den):
         return 0.0, True
     return num / den, False
-
-
-def direction_coefficient(rule: str, grad_new: TangentVector,
-                          grad_moved: TangentVector, dir_moved: TangentVector,
-                          dir_old: TangentVector, grad_old: TangentVector) -> float:
-    """Conjugate-direction coefficient for the chosen rule.
-
-    ``grad_moved`` and ``dir_moved`` are the previous gradient and direction
-    parallel-transported to the new point; ``dir_old`` and ``grad_old`` stay
-    at the previous point. A degenerate (zero) denominator falls back to 0,
-    which restarts to steepest descent.
-    """
-    value, _ = _coefficient(rule, grad_new, grad_moved, dir_moved, dir_old, grad_old)
-    return value
 
 
 def default_init(problem: KarcherProblem) -> GrassmannPoint:

@@ -2,21 +2,17 @@
 
 Thin validating wrappers around LAPACK (through numpy) for the operations the
 subspace geometry needs: Hermitian eigendecompositions with a fixed descending
-order, full singular value decompositions, unitary exponentials of
-skew-Hermitian matrices, and scalar functions applied through the spectrum.
-Inputs are never mutated.
+order and unitary exponentials of skew-Hermitian matrices. Inputs are never
+mutated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 import numpy as np
 
-from .exceptions import DomainError, InvalidInputError
+from .exceptions import InvalidInputError
 
 HERMITIAN_TOL = 1e-12
-CLAMP_TOL = 1e-10
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -54,30 +50,11 @@ def require_skew_hermitian(value, name: str = "matrix", tol: float = HERMITIAN_T
     return 0.5 * (mat - mat.conj().T)
 
 
-class SVDFactors(NamedTuple):
-    """Full SVD ``matrix = U @ D @ V.conj().T`` with square unitary U and V.
-
-    ``S`` holds the singular values in descending order; ``D`` is the
-    rectangular diagonal matrix built from it.
-    """
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-
 def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, descending) and a unitary of matching eigenvectors."""
     mat = require_hermitian(matrix)
     vals, vecs = np.linalg.eigh(mat)
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
-
-
-def svd(matrix) -> SVDFactors:
-    """Full singular value decomposition with descending singular values."""
-    mat = as_matrix(matrix)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return SVDFactors(u, s, vh.conj().T)
 
 
 def expm_skew(omega, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -89,52 +66,3 @@ def expm_skew(omega, tol: float = HERMITIAN_TOL) -> np.ndarray:
     om = require_skew_hermitian(omega, "omega", tol)
     vals, vecs = np.linalg.eigh(-1j * om)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
-
-
-def clamp_spectrum(values, domain, clamp_tol: float = CLAMP_TOL) -> np.ndarray:
-    """Clamp real values to ``domain = (lo, hi)`` within ``clamp_tol``.
-
-    Values farther outside the interval raise DomainError; ``None`` bounds are
-    unconstrained.
-    """
-    vals = np.array(values, dtype=float)
-    if domain is None:
-        return vals
-    lo, hi = domain
-    if lo is not None:
-        if np.any(vals < lo - clamp_tol):
-            raise DomainError(f"value {vals.min():.6e} below domain minimum {lo}")
-        vals = np.maximum(vals, lo)
-    if hi is not None:
-        if np.any(vals > hi + clamp_tol):
-            raise DomainError(f"value {vals.max():.6e} above domain maximum {hi}")
-        vals = np.minimum(vals, hi)
-    return vals
-
-
-def spectral_fn(matrix, fn: Callable[[float], float], domain=None,
-                clamp_tol: float = CLAMP_TOL) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Hermitian matrix.
-    fn : callable
-        Real-valued function evaluated on each eigenvalue.
-    domain : tuple or None
-        ``(lo, hi)`` interval on which ``fn`` is defined. Eigenvalues within
-        ``clamp_tol`` outside the interval are clamped to the boundary;
-        anything farther out raises DomainError.
-
-    Returns the Hermitian matrix with the same eigenvectors and mapped
-    eigenvalues.
-    """
-    mat = require_hermitian(matrix)
-    vals, vecs = np.linalg.eigh(mat)
-    vals = clamp_spectrum(vals, domain, clamp_tol)
-    mapped = np.array([float(fn(v)) for v in vals])
-    if not np.all(np.isfinite(mapped)):
-        raise DomainError("function produced non-finite values on the spectrum")
-    out = (vecs * mapped) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)

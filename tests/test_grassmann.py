@@ -133,6 +133,14 @@ def test_exp_log_roundtrip():
         xi = random_tangent(p, rng, rng.uniform(0.05, 1.0))
         back = log(p, exp(p, xi))
         assert (back - xi).norm() < 1e-10 * max(1.0, xi.norm())
+    # small steps: the log direction comes from the complement overlaps, so
+    # it keeps relative accuracy well below the sqrt(eps) arccos floor
+    for m in (1, 2, 3):
+        for norm in (1e-6, 1e-3):
+            p = random_point(6, m, rng)
+            xi = random_tangent(p, rng, norm)
+            back = log(p, exp(p, xi))
+            assert (back - xi).norm() < 1e-7 * xi.norm()
 
 
 def test_log_exp_hits_target():

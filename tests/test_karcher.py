@@ -78,13 +78,21 @@ def test_cost_is_mean_squared_distance():
         assert abs(value - ref) < 1e-10 * max(1.0, ref)
 
 
-def test_cost_raises_at_cut_locus_with_index():
-    p1 = GrassmannPoint(np.diag([1.0, 0.0]))
-    p2 = GrassmannPoint(np.diag([0.0, 1.0]))
-    problem = KarcherProblem((p1, p2))
+@pytest.mark.parametrize("rank", [1, 2])
+def test_cost_raises_at_cut_locus_with_index(rank):
+    # the evaluation point spans the first ``rank`` axes of C^3; the third
+    # datum swaps its last axis for e_3, one principal angle of pi/2
+    at = GrassmannPoint(np.diag([1.0] * rank + [0.0] * (3 - rank)))
+    cut = GrassmannPoint(np.diag([1.0] * (rank - 1) + [0.0] * (3 - rank) + [1.0]))
+    rng = np.random.default_rng(24)
+    near = exp(at, random_tangent(at, rng, 0.3))
+    problem = KarcherProblem((near, at, cut, at))
     with pytest.raises(CutLocusError) as info:
-        karcher_cost(problem, p1)
-    assert info.value.index == 1
+        karcher_cost(problem, at)
+    assert info.value.index == 2
+    with pytest.raises(CutLocusError) as info:
+        karcher_gradient(problem, at)
+    assert info.value.index == 2
 
 
 def test_gradient_is_mean_of_negative_logs():

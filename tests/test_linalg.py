@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from grassmean import linalg
-from grassmean.exceptions import DomainError, InvalidInputError
+from grassmean.exceptions import InvalidInputError
 
 
 def test_as_matrix_rejects_bad_shapes_and_values():
@@ -46,17 +46,6 @@ def test_hermitian_eig_descending_reconstruction():
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(6), atol=1e-12)
 
 
-def test_svd_factors_reconstruction():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    u, s, v = linalg.svd(a)
-    assert u.shape == (5, 5) and v.shape == (3, 3)
-    assert np.all(np.diff(s) <= 0)
-    d = np.zeros((5, 3))
-    d[:3, :3] = np.diag(s)
-    np.testing.assert_allclose(u @ d @ v.conj().T, a, atol=1e-12)
-
-
 def test_expm_skew_matches_scipy():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -73,33 +62,3 @@ def test_expm_skew_matches_scipy():
 def test_expm_skew_rejects_non_skew():
     with pytest.raises(InvalidInputError):
         linalg.expm_skew(np.eye(3))
-
-
-def test_clamp_spectrum():
-    vals = np.array([-1e-12, 0.5, 1.0 + 1e-12])
-    out = linalg.clamp_spectrum(vals, (0.0, 1.0))
-    assert out[0] == 0.0 and out[2] == 1.0 and out[1] == 0.5
-    with pytest.raises(DomainError):
-        linalg.clamp_spectrum(np.array([-1e-3]), (0.0, 1.0))
-    with pytest.raises(DomainError):
-        linalg.clamp_spectrum(np.array([2.0]), (None, 1.0))
-    # unconstrained side passes through
-    np.testing.assert_array_equal(
-        linalg.clamp_spectrum(np.array([-5.0, 7.0]), None), [-5.0, 7.0])
-
-
-def test_spectral_fn_matches_scipy_sqrtm():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    spd = a @ a.conj().T + 5.0 * np.eye(5)
-    ours = linalg.spectral_fn(spd, np.sqrt, domain=(0.0, None))
-    ref = scipy.linalg.sqrtm(spd)
-    assert np.linalg.norm(ours - ref) < 1e-10
-    assert np.linalg.norm(ours - ours.conj().T) == 0.0
-
-
-def test_spectral_fn_domain_enforcement():
-    with pytest.raises(DomainError):
-        linalg.spectral_fn(np.diag([-1.0, 1.0]), np.sqrt, domain=(0.0, None))
-    with pytest.raises(DomainError), np.errstate(divide="ignore"):
-        linalg.spectral_fn(np.diag([0.0, 1.0]), lambda v: 1.0 / v)

@@ -1,11 +1,11 @@
 """Averaging subspaces of C^n.
 
-Points of the Grassmannian are represented by Hermitian rank-m projection
-matrices. The package provides the Riemannian toolkit on that manifold
-(geodesics, logarithm, parallel transport, principal-angle distance), a
-conjugate-gradient solver for the Karcher mean, and a blind-identification
-benchmark in which averaged mixing-matrix estimates are scored against the
-ground truth.
+Public points of the Grassmannian are Hermitian rank-m projectors, with the
+Riemannian toolkit on them (geodesics, logarithm, parallel transport,
+principal-angle distance). The conjugate-gradient Karcher-mean solver takes
+its data as orthonormal bases or projectors and works on one stack of bases.
+A blind-identification benchmark scores averaged mixing-matrix estimates
+against the ground truth.
 """
 
 __version__ = "0.1.0"

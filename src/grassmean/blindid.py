@@ -28,7 +28,7 @@ from .exceptions import (
     InvalidInputError,
     LineSearchFailedError,
 )
-from .grassmann import GrassmannPoint, basis_from_projector
+from .grassmann import StiefelBasis, basis_from_projector
 from .karcher import CGConfig, KarcherProblem, karcher_mean
 from . import linalg
 
@@ -94,9 +94,8 @@ class EstimateSet:
     def n(self) -> int:
         return self.matrices.shape[1]
 
-    def column_projector(self, i: int, j: int) -> GrassmannPoint:
-        vec = self.matrices[i][:, j]
-        return GrassmannPoint(np.outer(vec, vec.conj()), 1)
+    def column_basis(self, i: int, j: int) -> StiefelBasis:
+        return StiefelBasis(self.matrices[i][:, j:j + 1])
 
     def __repr__(self):
         return f"EstimateSet(count={self.count}, n={self.n})"
@@ -246,8 +245,7 @@ def average_karcher(aligned: EstimateSet, config: CGConfig = None) -> list:
         config = CGConfig(step_rule="newton_cp")
     means = []
     for j in range(aligned.n):
-        points = tuple(aligned.column_projector(i, j) for i in range(aligned.count))
-        problem = KarcherProblem(points)
+        problem = KarcherProblem(aligned.column_basis(i, j) for i in range(aligned.count))
         try:
             point, _ = karcher_mean(problem, config=config)
         except CutLocusError as err:

@@ -90,15 +90,9 @@ def _default_trace_path(out_path: str) -> str:
     return os.path.splitext(out_path)[0] + ".trace.csv"
 
 
-def _load_points(path: str, repair: bool):
-    bases = read_subspace_file(path, repair=repair)
-    return bases, [projector_from_basis(b) for b in bases]
-
-
 def _run_karcher_mean(args) -> int:
     trace_path = args.trace if args.trace else _default_trace_path(args.out)
-    _, points = _load_points(args.input, args.repair)
-    problem = KarcherProblem(tuple(points))
+    problem = KarcherProblem(read_subspace_file(args.input, repair=args.repair))
     config = CGConfig(direction_rule=args.rule, step_rule=_STEP_RULES[args.step],
                       step_init=args.step_init, grad_tol=args.grad_tol,
                       max_iter=args.max_iter)
@@ -126,7 +120,8 @@ def _run_karcher_mean(args) -> int:
 
 
 def _run_distance(args) -> int:
-    _, points = _load_points(args.input, args.repair)
+    points = [projector_from_basis(b)
+              for b in read_subspace_file(args.input, repair=args.repair)]
     if len(points) != 2:
         print(f"error: distance needs exactly 2 bases, file has {len(points)}",
               file=sys.stderr)

@@ -1,18 +1,21 @@
 """Karcher means of subspaces by geometric conjugate gradient.
 
-The cost is the mean squared geodesic distance to a fixed set of points. Cost
-and gradient both come from one batched principal-angle kernel applied to the
-whole stack of data bases at once: the cost sums the squared angles, and the
-gradient sums the log blocks, which are the inverse exponentials of the data
-expressed in a unitary frame of P. The solver walks geodesics, transports
-the previous search direction, and supports the classical conjugate-direction
-coefficient rules plus an exact-Newton step size on rank-one Grassmannians
-(projective space).
+The cost is the mean squared geodesic distance to a fixed set of subspaces,
+held as one (N, n, m) stack of orthonormal bases. One batched principal-angle
+kernel gives the cost (the squared angles) and the gradient (the summed logs
+of the data, as blocks in a unitary frame [X1 X2] of the current point). The
+solver carries that frame (Edelman, Arias & Smith 1998): a tangent vector is
+its m-by-(n-m) block, geodesics move the whole frame, and parallel transport
+leaves blocks unchanged. Direction rules are the classical conjugate ones;
+step sizes come from backtracking or, on projective space, an exact Newton
+step. Projector objects are built only for the result and the callback.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -27,13 +30,12 @@ from .exceptions import (
 from .grassmann import (
     CUT_LOCUS_TOL,
     GrassmannPoint,
+    StiefelBasis,
     TangentVector,
     _principal_angles,
     _tangent_matrix,
     basis_from_projector,
-    commutator,
     complete_frame,
-    metric,
     projector_from_basis,
     require_anchored,
 )
@@ -73,18 +75,18 @@ class CGConfig:
             raise InvalidInputError(f"unknown direction rule {self.direction_rule!r}")
         if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
-        if not self.step_init > 0:
-            raise InvalidInputError("step_init must be positive")
         if not 0 < self.armijo_c < 1:
             raise InvalidInputError("armijo_c must lie in (0, 1)")
         if not 0 < self.shrink < 1:
             raise InvalidInputError("shrink must lie in (0, 1)")
-        if not self.grad_tol > 0:
-            raise InvalidInputError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be at least 1")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise InvalidInputError("restart_period must be at least 1")
+        for name in ("step_init", "grad_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise InvalidInputError("max_iter must be an integer of at least 1")
+        period = 1 if self.restart_period is None else self.restart_period
+        if not isinstance(period, Integral) or period < 1:
+            raise InvalidInputError("restart_period must be an integer of at least 1")
 
 
 @dataclass
@@ -114,40 +116,43 @@ class CGTrace:
         return self.iterates[-1].iteration if self.iterates else 0
 
 
-@dataclass(eq=False)
 class KarcherProblem:
-    """A fixed collection of points to be averaged, with cached bases."""
+    """A fixed collection of subspaces to be averaged, as one (N, n, m) stack.
 
-    points: tuple
+    ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
+    validated when it was built; a projector is reduced to a basis here, once.
+    """
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        if not points:
+    def __init__(self, data):
+        data = tuple(data)
+        if not data:
             raise InvalidInputError("problem needs at least one point")
-        first = points[0]
-        for point in points[1:]:
-            if point.dim != first.dim or point.rank != first.rank:
+        for item in data:
+            if not isinstance(item, (StiefelBasis, GrassmannPoint)):
+                raise InvalidInputError(
+                    f"problem data must be StiefelBasis or GrassmannPoint, got {type(item).__name__}")
+            if (item.dim, item.rank) != (data[0].dim, data[0].rank):
                 raise InvalidInputError("points live on different Grassmannians")
-        object.__setattr__(self, "points", points)
-        bases = np.stack([basis_from_projector(p).matrix for p in points])
-        self.bases = bases  # (N, n, m)
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return self.points[0].dim
-
-    @property
-    def rank(self) -> int:
-        return self.points[0].rank
+        self.bases = np.stack([
+            (basis_from_projector(item) if isinstance(item, GrassmannPoint) else item).matrix
+            for item in data])
+        self.bases.setflags(write=False)
+        self.size, self.dim, self.rank = self.bases.shape
 
 
 def _require_member(problem: KarcherProblem, point: GrassmannPoint) -> None:
     if point.dim != problem.dim or point.rank != problem.rank:
         raise InvalidInputError("point does not live on the problem's Grassmannian")
+
+
+def _frame_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
+    _require_member(problem, point)
+    return complete_frame(basis_from_projector(point).matrix)
+
+
+def _metric(first: np.ndarray, second: np.ndarray) -> float:
+    """Inner product of two tangent blocks in a common frame: 2 Re<B1, B2>."""
+    return 2.0 * float(np.vdot(first, second).real)
 
 
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
@@ -163,48 +168,31 @@ def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
 
 def _cost_from_basis(problem: KarcherProblem, basis: np.ndarray,
                      cut_tol: float = CUT_LOCUS_TOL) -> float:
-    """Karcher cost of the span of an exactly orthonormal ``basis``.
-
-    The principal angles come from the singular values of the overlaps
-    Y_i^H X of genuine orthonormal bases, so the off-manifold rounding junk of
-    a conjugated projector (which the cost is sensitive to at first order
-    through the normal directions) never enters, and cost differences near
-    convergence stay meaningful down to a few ulps.
-    """
+    """Karcher cost of the span of an orthonormal n-by-m ``basis``."""
     angles, _ = _principal_angles(basis, problem.bases, cut_tol)
     return float(2.0 * np.sum(angles * angles)) / problem.size
 
 
-def _gradient_sum(problem: KarcherProblem, point: GrassmannPoint, frame,
-                  cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
-    """Minus the sum of the inverse exponentials of the data at ``point``.
+def _residual_block(problem: KarcherProblem, frame: np.ndarray,
+                    cut_tol: float = CUT_LOCUS_TOL) -> np.ndarray:
+    """Block, in the unitary ``frame`` [X1 X2], of minus the summed data logs.
 
-    The kernel sums every datum's log block in the unitary frame [X1 X2] of
-    ``point`` in one batch; that sum, lifted back out of the frame, is the
-    residual field of the critical-point equation (the sum of the data logs
-    transported nowhere, since they are already at ``point``). It equals N/2
-    times the gradient of karcher_cost. The solver searches along and stops
-    on this field: with it, a unit trial step is the exact minimizer for one
-    datum, so backtracking from step 1 is well scaled.
+    This residual field is N/2 times the gradient of karcher_cost. The solver
+    searches along it, so a unit trial step is the exact minimizer for one
+    datum and backtracking from step 1 is well scaled.
     """
     m = problem.rank
-    x1, x2 = frame[:, :m], frame[:, m:]
-    _, block = _principal_angles(x1, problem.bases, cut_tol, x2)
-    return TangentVector(point, -_tangent_matrix(x1, x2, block))
+    _, block = _principal_angles(frame[:, :m], problem.bases, cut_tol, frame[:, m:])
+    return -block
 
 
-def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint, frame=None,
+def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint,
                      cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
-    """Riemannian gradient of the Karcher cost at ``point``.
-
-    Equals minus twice the mean of the inverse exponentials of the data, each
-    computed in a common unitary frame [X1 X2] of ``point`` and conjugated
-    back. ``frame`` may supply that unitary to avoid recomputing it.
-    """
-    _require_member(problem, point)
-    if frame is None:
-        frame = complete_frame(basis_from_projector(point).matrix)
-    return (2.0 / problem.size) * _gradient_sum(problem, point, frame, cut_tol)
+    """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
+    frame = _frame_of(problem, point)
+    block = (2.0 / problem.size) * _residual_block(problem, frame, cut_tol)
+    m = problem.rank
+    return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:], block))
 
 
 def backtracking_step(objective, value0: float, slope: float, config: CGConfig) -> float:
@@ -226,87 +214,110 @@ def backtracking_step(objective, value0: float, slope: float, config: CGConfig) 
         f"no Armijo step after {MAX_SHRINKS} shrinks (slope {slope:.3e})")
 
 
-def _noise_floor_step(problem: KarcherProblem, slope: float, value0: float,
-                      err: LineSearchFailedError) -> float:
-    """Steepest-descent step of last resort when Armijo cannot see progress.
+def _at_noise_floor(gnorm: float, value0: float) -> bool:
+    """Whether Armijo comparisons along steepest descent are rounding noise.
 
-    Close to the minimizer the achievable decrease per step is about
-    |slope| / (2 N), which drops below the rounding noise of the cost
-    evaluation long before the gradient itself loses accuracy; every
-    sufficient-decrease comparison then fails even though the direction still
-    points downhill. The second derivative of the cost along the residual
-    field approaches N there, so the model-exact step along minus the
-    gradient is 1 / N. Taking it without a cost comparison keeps the residual
-    contracting. A failure at a slope the evaluation could have resolved is a
-    genuine one and is re-raised.
+    Near the minimizer the decrease per step, about gnorm^2 / (2 N), drops
+    below the rounding noise of the cost long before the gradient loses
+    accuracy. A comparison there passes or fails by chance, and a chance pass
+    at a step too small to move the iterate freezes the solver. The curvature
+    along the residual field approaches N there, so the solver takes the
+    model-exact steepest-descent step 1 / N without a cost comparison.
     """
-    if abs(slope) > NOISE_SLOPE_FACTOR * np.finfo(float).eps * max(1.0, value0):
-        raise err
-    return 1.0 / problem.size
+    return gnorm * gnorm <= NOISE_SLOPE_FACTOR * np.finfo(float).eps * max(1.0, value0)
 
 
-def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
-                   direction: TangentVector,
-                   domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
-    """Newton step size along ``direction`` for rank-one subspace problems.
+def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
+    """The frame [X1 X2] moved by the geodesic flow with velocity block D.
 
-    On projective space each datum contributes lambda_i(t) = y_i^H P(t) y_i,
-    whose first two derivatives at t = 0 are quadratic forms in the direction
-    and in [[H, P], H]. The step is -F'(0) / |F''(0)| with both derivatives
-    evaluated analytically. Every lambda_i must stay inside
+    With D = U S V^H, X1(t) = X1 + X1 U (cos tS - I) U^H + X2 V sin(tS) U^H
+    and X2(t) = X2 - X1 U sin(tS) V^H + X2 V (cos tS - I) V^H. Returns a
+    function of t giving X1(t), or the whole frame when ``full`` is set.
+    """
+    x1, x2 = frame[:, :m], frame[:, m:]
+    u, sigma, vh = np.linalg.svd(block, full_matrices=False)
+    x1u, x2v = x1 @ u, x2 @ vh.conj().T
+
+    def at(t: float, full: bool = False) -> np.ndarray:
+        bend, sine = np.cos(t * sigma) - 1.0, np.sin(t * sigma)
+        head = x1 + (x1u * bend + x2v * sine) @ u.conj().T
+        if not full:
+            return head
+        return np.hstack([head, x2 + (x2v * bend - x1u * sine) @ vh])
+
+    return at
+
+
+def _newton_step(problem: KarcherProblem, frame: np.ndarray, block: np.ndarray,
+                 domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
+    """Newton step size along the tangent block d = ``block`` in ``frame``, rank one.
+
+    Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With the overlaps
+    c_i = y_i^H x1 and e_i = y_i^H X2 d^H, its derivatives at t = 0 are
+    lambda' = 2 Re(c_i conj(e_i)) and lambda'' = 2 |e_i|^2 - 2 |c_i|^2 |d|^2.
+    The step is -F'(0) / |F''(0)|. Every lambda_i must stay inside
     (domain_tol, 1 - domain_tol).
     """
-    if problem.rank != 1:
-        raise InvalidInputError("the Newton step rule requires rank-one subspaces")
-    _require_member(problem, point)
-    require_anchored(direction, point)
-    stacked = problem.bases[:, :, 0].T  # (n, N)
-    proj = point.matrix
-    vel = direction.matrix
-    lam = np.einsum("ni,nm,mi->i", stacked.conj(), proj, stacked).real
+    over = problem.bases[:, :, 0].conj() @ np.column_stack(
+        [frame[:, 0], frame[:, 1:] @ block[0].conj()])
+    c, e = over[:, 0], over[:, 1]
+    lam = (c * c.conj()).real
     if np.any(lam <= domain_tol) or np.any(lam >= 1.0 - domain_tol):
         raise DomainError("a datum is too close to the evaluation point or its cut locus")
-    lam_d = np.einsum("ni,nm,mi->i", stacked.conj(), vel, stacked).real
-    accel = commutator(commutator(vel, proj), vel)
-    lam_dd = np.einsum("ni,nm,mi->i", stacked.conj(), accel, stacked).real
+    speed = _metric(block, block)  # the squared norm 2 |d|^2
+    lam_d = 2.0 * (c * e.conj()).real
+    lam_dd = 2.0 * (e * e.conj()).real - lam * speed
     spread = lam - lam * lam
     root = np.sqrt(spread)
     angles = np.arccos(np.sqrt(lam))
-    count = problem.size
-    first = -(2.0 / count) * np.sum(angles * lam_d / root)
-    second = (2.0 / count) * np.sum(
+    first = -(2.0 / problem.size) * np.sum(angles * lam_d / root)
+    second = (2.0 / problem.size) * np.sum(
         lam_d * lam_d / (2.0 * spread)
         + angles * (lam_d * lam_d * (1.0 - 2.0 * lam) / (2.0 * root ** 3) - lam_dd / root))
     if first == 0.0:
         return 0.0
     # F'' along H scales with |H|^2, so degeneracy is a relative statement;
     # an absolute floor would trip on healthy short directions near the optimum
-    scale = metric(direction, direction)
-    if abs(second) < CURVATURE_TOL * max(scale, np.finfo(float).tiny):
+    if abs(second) < CURVATURE_TOL * max(speed, np.finfo(float).tiny):
         raise DegenerateCurvatureError(f"second derivative {second:.3e} is numerically zero")
     return float(-first / abs(second))
 
 
-def _coefficient(rule: str, grad_new: TangentVector, grad_moved: TangentVector,
-                 dir_moved: TangentVector, dir_old: TangentVector,
-                 grad_old: TangentVector):
-    """Conjugate-direction coefficient and a flag for degenerate fallback."""
-    diff = grad_new - grad_moved
+def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
+                   direction: TangentVector,
+                   domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
+    """Newton step size along ``direction`` on projective space (rank one)."""
+    if problem.rank != 1:
+        raise InvalidInputError("the Newton step rule requires rank-one subspaces")
+    frame = _frame_of(problem, point)
+    require_anchored(direction, point)
+    block = frame[:, :1].conj().T @ direction.matrix @ frame[:, 1:]
+    return _newton_step(problem, frame, block, domain_tol)
+
+
+def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
+                 dir_old: np.ndarray):
+    """Conjugate-direction coefficient and a flag for degenerate fallback.
+
+    The arguments are tangent blocks in one frame; transport along the
+    geodesic leaves blocks unchanged, so old blocks are transported ones.
+    """
+    diff = grad_new - grad_old
     if rule == "hs":
-        num = metric(grad_new, diff)
-        den = metric(dir_moved, diff)
+        num = _metric(grad_new, diff)
+        den = _metric(dir_old, diff)
     elif rule == "pr":
-        num = metric(grad_new, diff)
-        den = metric(grad_old, grad_old)
+        num = _metric(grad_new, diff)
+        den = _metric(grad_old, grad_old)
     elif rule == "fr":
-        num = metric(grad_new, grad_new)
-        den = metric(grad_old, grad_old)
+        num = _metric(grad_new, grad_new)
+        den = _metric(grad_old, grad_old)
     elif rule == "dy":
-        num = metric(grad_new, grad_new)
-        den = metric(dir_moved, diff)
+        num = _metric(grad_new, grad_new)
+        den = _metric(dir_old, diff)
     elif rule == "star":
-        num = -metric(grad_new, diff)
-        den = metric(dir_old, grad_old)
+        num = -_metric(grad_new, diff)
+        den = _metric(dir_old, grad_old)
     else:
         raise InvalidInputError(f"unknown direction rule {rule!r}")
     if den == 0.0 or not np.isfinite(num / den):
@@ -314,20 +325,25 @@ def _coefficient(rule: str, grad_new: TangentVector, grad_moved: TangentVector,
     return num / den, False
 
 
-def default_init(problem: KarcherProblem) -> GrassmannPoint:
-    """Euclidean anchor: dominant eigenspace of the averaged projectors.
+def _anchor_basis(problem: KarcherProblem) -> np.ndarray:
+    """Basis of the dominant eigenspace of the averaged data projectors.
 
-    Falls back to the first datum when the spectral gap at the cut is below
-    INIT_GAP_TOL (the eigenspace is then ill defined).
+    The average is one GEMM on the stack. Falls back to the first datum when
+    the spectral gap at the cut is below INIT_GAP_TOL (ill-defined eigenspace).
     """
-    if problem.size == 1 or problem.rank == problem.dim:
-        return problem.points[0]
-    mean = np.mean([p.matrix for p in problem.points], axis=0)
-    vals, vecs = linalg.hermitian_eig(mean)
-    m = problem.rank
+    count, n, m = problem.bases.shape
+    if count == 1 or m == n:
+        return problem.bases[0]
+    stacked = problem.bases.transpose(1, 0, 2).reshape(n, count * m)
+    vals, vecs = linalg.hermitian_eig(stacked @ stacked.conj().T / count)
     if vals[m - 1] - vals[m] < INIT_GAP_TOL:
-        return problem.points[0]
-    return projector_from_basis(vecs[:, :m])
+        return problem.bases[0]
+    return vecs[:, :m]
+
+
+def default_init(problem: KarcherProblem) -> GrassmannPoint:
+    """Euclidean anchor: the span of ``_anchor_basis``."""
+    return projector_from_basis(_anchor_basis(problem))
 
 
 _ERROR_STATUS = {
@@ -338,37 +354,33 @@ _ERROR_STATUS = {
 }
 
 
+def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
+    x1 = frame[:, :m]
+    return GrassmannPoint(x1 @ x1.conj().T, m)
+
+
 def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                  config: CGConfig = None, callback=None):
     """Minimize the Karcher cost by conjugate gradient on the Grassmannian.
 
-    Parameters
-    ----------
-    problem : KarcherProblem
-    init : GrassmannPoint, optional
-        Starting point; defaults to the Euclidean anchor of the data.
-    config : CGConfig, optional
-    callback : callable, optional
-        Called as ``callback(iteration, point, grad, direction)`` after the
-        initial evaluation and after every accepted update.
+    ``init`` (a GrassmannPoint) defaults to the Euclidean anchor of the data.
+    ``callback(iteration, point, grad, direction)``, if given, is called after
+    the initial evaluation and after every accepted update. Returns ``(point,
+    trace)``. Unrecoverable failures (cut locus at an iterate, exhausted line
+    search, degenerate Newton curvature) raise the corresponding error with
+    the partial trace attached as ``err.trace``.
 
-    Returns ``(point, trace)``. Unrecoverable failures (cut locus at an
-    iterate, exhausted line search, degenerate Newton curvature) raise the
-    corresponding error with the partial trace attached as ``err.trace``.
-
-    The search direction, the trace's grad_norm column, and the grad_tol
-    stopping test all use the residual field -sum(log_P(Q_i)), i.e. N/2 times
-    karcher_gradient; the returned point therefore satisfies the tolerance in
-    the gradient reading as well. ``callback`` receives that field as its
-    ``grad`` argument.
+    The search direction, the trace's grad_norm column, the grad_tol stopping
+    test and the callback's ``grad`` use the residual field -sum(log_P(Q_i)),
+    N/2 times karcher_gradient, so the result meets the tolerance in the
+    gradient reading as well.
     """
     if config is None:
         config = CGConfig()
-    point = default_init(problem) if init is None else init
-    _require_member(problem, point)
     n, m = problem.dim, problem.rank
     if config.step_rule == "newton_cp" and m != 1:
         raise InvalidInputError("the newton_cp step rule requires rank-one subspaces")
+    frame = complete_frame(_anchor_basis(problem)) if init is None else _frame_of(problem, init)
     period = config.restart_period
     if period is None:
         period = max(1, 2 * m * (n - m) - 1)
@@ -379,35 +391,42 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
         err.trace = trace
         return err
 
+    def report(iteration):
+        point, x1, x2 = _point(frame, m), frame[:, :m], frame[:, m:]
+        callback(iteration, point, TangentVector(point, _tangent_matrix(x1, x2, grad)),
+                 TangentVector(point, _tangent_matrix(x1, x2, direction)))
+
     try:
-        frame = complete_frame(basis_from_projector(point).matrix)
-        grad = _gradient_sum(problem, point, frame)
+        grad = _residual_block(problem, frame)
         cost = _cost_from_basis(problem, frame[:, :m])
     except CutLocusError as err:
         raise fail(err)
-    gnorm = grad.norm()
+    gnorm = math.sqrt(_metric(grad, grad))
     trace.iterates.append(CGIterate(0, cost, gnorm, 0.0, "init", False))
     direction = -grad
     if callback is not None:
-        callback(0, point, grad, direction)
+        report(0)
 
     iteration = 0
     while gnorm >= config.grad_tol and iteration < config.max_iter:
         iteration += 1
-        slope = metric(grad, direction)
-        forced_restart = False
-        if not slope < 0.0:
-            direction = -grad
-            slope = -gnorm * gnorm
-            forced_restart = True
+        slope = _metric(grad, direction)
+        noise_floor = config.step_rule == "backtracking" and _at_noise_floor(gnorm, cost)
+        forced_restart = noise_floor or not slope < 0.0
+        if forced_restart:
+            direction, slope = -grad, -gnorm * gnorm
         capped = False
-        omega = commutator(direction.matrix, point.matrix)
+        path = _geodesic(frame, m, direction)
         try:
-            if config.step_rule == "backtracking":
-                x1_cur = frame[:, :m]
+            if config.step_rule == "newton_cp":
+                step = _newton_step(problem, frame, direction)
+                capped, step = step > config.step_init, min(step, config.step_init)
+            elif noise_floor:
+                step = 1.0 / problem.size
+            else:
 
                 def line_value(a):
-                    trial, _ = np.linalg.qr(linalg.expm_skew(a * omega) @ x1_cur)
+                    trial, _ = np.linalg.qr(path(a))
                     try:
                         return _cost_from_basis(problem, trial)
                     except CutLocusError:
@@ -415,52 +434,39 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
 
                 try:
                     step = backtracking_step(line_value, cost, slope, config)
-                except LineSearchFailedError as search_err:
+                except LineSearchFailedError:
+                    if forced_restart:
+                        raise
                     # a stale conjugate direction can degenerate to numerical
-                    # noise; retry from steepest descent before anything else
-                    if not forced_restart:
-                        direction = -grad
-                        slope = -gnorm * gnorm
-                        forced_restart = True
-                        omega = commutator(direction.matrix, point.matrix)
-                        try:
-                            step = backtracking_step(line_value, cost, slope, config)
-                        except LineSearchFailedError as retry_err:
-                            step = _noise_floor_step(problem, slope, cost, retry_err)
-                    else:
-                        step = _noise_floor_step(problem, slope, cost, search_err)
-            else:
-                step = newton_step_cp(problem, point, direction)
-                if step > config.step_init:
-                    step = config.step_init
-                    capped = True
-            mover = linalg.expm_skew(step * omega)
-            frame, _ = np.linalg.qr(mover @ frame)
-            x1 = frame[:, :m]
-            new_point = GrassmannPoint(x1 @ x1.conj().T, m)
-            new_grad = _gradient_sum(problem, new_point, frame)
-            new_cost = _cost_from_basis(problem, x1)
+                    # noise; retry from steepest descent before giving up
+                    direction, slope, forced_restart = -grad, -gnorm * gnorm, True
+                    path = _geodesic(frame, m, direction)
+                    step = backtracking_step(line_value, cost, slope, config)
+            # re-orthonormalize, folding R's diagonal phases back into Q so
+            # the frame stays the transported one and carried blocks stay valid
+            frame, tri = np.linalg.qr(path(step, full=True))
+            phases = np.diagonal(tri)
+            frame = frame * (phases / np.abs(phases))
+            new_grad = _residual_block(problem, frame)
+            new_cost = _cost_from_basis(problem, frame[:, :m])
         except (CutLocusError, LineSearchFailedError, DegenerateCurvatureError,
                 DomainError) as err:
             raise fail(err)
-        new_gnorm = new_grad.norm()
-        grad_moved = TangentVector(new_point, mover @ grad.matrix @ mover.conj().T)
-        dir_moved = TangentVector(new_point, mover @ direction.matrix @ mover.conj().T)
+        new_gnorm = math.sqrt(_metric(new_grad, new_grad))
         periodic = iteration % period == 0
         if periodic:
             fallback = False
             new_direction = -new_grad
         else:
-            coeff, fallback = _coefficient(config.direction_rule, new_grad,
-                                           grad_moved, dir_moved, direction, grad)
-            new_direction = -new_grad + coeff * dir_moved
+            coeff, fallback = _coefficient(config.direction_rule, new_grad, grad, direction)
+            new_direction = -new_grad + coeff * direction
         restarted = periodic or fallback or forced_restart
         rule = "sd" if (periodic or fallback) else config.direction_rule
         trace.iterates.append(
             CGIterate(iteration, new_cost, new_gnorm, step, rule, restarted, capped))
-        point, grad, cost, gnorm, direction = new_point, new_grad, new_cost, new_gnorm, new_direction
+        grad, cost, gnorm, direction = new_grad, new_cost, new_gnorm, new_direction
         if callback is not None:
-            callback(iteration, point, grad, direction)
+            report(iteration)
 
     trace.status = "converged" if gnorm < config.grad_tol else "max_iter"
-    return point, trace
+    return _point(frame, m), trace

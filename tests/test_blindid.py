@@ -23,7 +23,7 @@ from grassmean.exceptions import (
     IllConditionedError,
     InvalidInputError,
 )
-from grassmean.grassmann import dist, exp, log
+from grassmean.grassmann import dist, exp, log, projector_from_basis
 
 
 def unit_columns(mat):
@@ -146,7 +146,7 @@ def test_estimate_set_validation():
         EstimateSet(2.0 * np.stack([np.eye(3)]))
     stack = EstimateSet(np.stack([np.eye(3), np.eye(3)]))
     assert stack.count == 2 and stack.n == 3
-    proj = stack.column_projector(0, 1)
+    proj = projector_from_basis(stack.column_basis(0, 1))
     assert proj.rank == 1 and abs(proj.matrix[1, 1] - 1.0) < 1e-14
 
 
@@ -189,8 +189,8 @@ def test_average_karcher_identical_and_midpoint():
     pair = EstimateSet(np.stack([ref, bumped]))
     means = average_karcher(pair)
     for j, point in enumerate(means):
-        a = pair.column_projector(0, j)
-        b = pair.column_projector(1, j)
+        a = projector_from_basis(pair.column_basis(0, j))
+        b = projector_from_basis(pair.column_basis(1, j))
         midpoint = exp(a, 0.5 * log(a, b))
         assert dist(point, midpoint) < 1e-6
 

@@ -64,6 +64,16 @@ def test_karcher_mean_iteration_cap_exit_code(tmp_path, capsys):
     assert out.exists() and trace.exists()
 
 
+def test_karcher_mean_rejects_non_finite_options(tmp_path, capsys):
+    src = cloud_file(tmp_path)
+    out = tmp_path / "mean.json"
+    for flag in ("--grad-tol", "--step-init"):
+        code = main(["karcher-mean", str(src), "--out", str(out), flag, "inf"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_karcher_mean_cut_locus_exit_code(tmp_path, capsys):
     path = tmp_path / "antipodal.json"
     write_subspace_file(path, [np.eye(2, 1, dtype=complex),

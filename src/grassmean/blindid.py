@@ -22,11 +22,9 @@ from .exceptions import (
     AmbiguousModelWarning,
     CutLocusError,
     DegenerateAverageError,
-    DegenerateCurvatureError,
-    DomainError,
+    GrassmeanError,
     IllConditionedError,
     InvalidInputError,
-    LineSearchFailedError,
 )
 from .grassmann import StiefelBasis, basis_from_projector
 from .karcher import CGConfig, KarcherProblem, karcher_mean
@@ -200,25 +198,13 @@ def sut_estimate(observations: np.ndarray) -> np.ndarray:
     return sut_from_covariances(cov, pseudo)
 
 
-def _resolve_reference(estimates: EstimateSet, reference) -> np.ndarray:
-    if reference is None:
-        return estimates.matrices[0]
-    if isinstance(reference, EstimateSet):
-        return reference.matrices[0]
-    ref = np.asarray(reference, dtype=complex)
-    if ref.shape != estimates.matrices[0].shape:
-        raise InvalidInputError("reference shape does not match the estimates")
-    return ref
-
-
-def align_columns(estimates: EstimateSet, reference=None) -> EstimateSet:
-    """Permute each estimate's columns to match the reference columns.
+def align_columns(estimates: EstimateSet) -> EstimateSet:
+    """Permute each estimate's columns to match the first estimate's columns.
 
     The permutation greedily maximizes the summed squared overlaps
     |<column, reference column>|^2, breaking ties toward the lowest index.
-    ``reference`` defaults to the first estimation.
     """
-    ref = _resolve_reference(estimates, reference)
+    ref = estimates.matrices[0]
     n = estimates.n
     aligned = np.empty_like(estimates.matrices)
     for i in range(estimates.count):
@@ -305,15 +291,6 @@ class TrialResult:
     status: str
 
 
-_SKIP_REASON = {
-    CutLocusError: "cut_locus",
-    IllConditionedError: "ill_conditioned",
-    LineSearchFailedError: "line_search_failed",
-    DegenerateCurvatureError: "degenerate_curvature",
-    DomainError: "domain_error",
-    DegenerateAverageError: "degenerate_average",
-}
-
 SWEEP_PARAMS = ("noise_level", "n_estimations")
 
 
@@ -342,8 +319,9 @@ def run_experiment(cfg: MixingExperiment, sweep_param: str, sweep_values,
     ``sweep_param`` is "noise_level" or "n_estimations". Each (value, trial)
     pair draws its randomness from a stream keyed by (rng_seed, trial), so
     results are deterministic and trials are paired across sweep values.
-    Failed trials become rows with empty scores and the failure reason in
-    ``status``; they never abort the sweep.
+    Failed trials become rows with empty scores and the failure's ``status``;
+    they never abort the sweep. Errors without a status, such as
+    InvalidInputError, propagate.
     """
     if sweep_param not in SWEEP_PARAMS:
         raise InvalidInputError(f"unknown sweep parameter {sweep_param!r}")
@@ -360,10 +338,11 @@ def run_experiment(cfg: MixingExperiment, sweep_param: str, sweep_values,
             try:
                 score_k, score_e = _run_trial(trial_cfg, rng, cg_config)
                 status = "ok"
-            except tuple(_SKIP_REASON) as err:
+            except GrassmeanError as err:
+                if err.status is None:
+                    raise
                 score_k = score_e = None
-                status = next(reason for klass, reason in _SKIP_REASON.items()
-                              if isinstance(err, klass))
+                status = err.status
             rows.append(TrialResult(trial, sweep_param, float(value),
                                     score_k, score_e, status))
     return rows

@@ -156,16 +156,12 @@ def _run_experiment_cmd(args) -> int:
     if len(nest_values) > 1:
         sweep_param = "n_estimations"
         sweep_values = [int(v) for v in nest_values]
-        fixed_eps = eps_values[0]
-        cfg = MixingExperiment(n=args.n, n_estimations=sweep_values[0],
-                               noise_level=fixed_eps, trials=args.trials,
-                               samples_per_trial=args.samples, rng_seed=args.seed)
     else:
         sweep_param = "noise_level"
         sweep_values = eps_values
-        cfg = MixingExperiment(n=args.n, n_estimations=int(nest_values[0]),
-                               noise_level=sweep_values[0], trials=args.trials,
-                               samples_per_trial=args.samples, rng_seed=args.seed)
+    cfg = MixingExperiment(n=args.n, n_estimations=int(nest_values[0]),
+                           noise_level=eps_values[0], trials=args.trials,
+                           samples_per_trial=args.samples, rng_seed=args.seed)
     rows = run_experiment(cfg, sweep_param, sweep_values)
     write_results_csv(args.out, rows)
     failed = sum(1 for row in rows if row.status != "ok")

@@ -4,6 +4,8 @@
 class GrassmeanError(Exception):
     """Base class for all library errors."""
 
+    status = None  # typed failures set their name in solver traces and result rows
+
 
 class InvalidInputError(GrassmeanError, ValueError):
     """Malformed or out-of-contract input."""
@@ -11,6 +13,8 @@ class InvalidInputError(GrassmeanError, ValueError):
 
 class DomainError(GrassmeanError, ValueError):
     """A value fell outside the mathematical domain of an operation."""
+
+    status = "domain_error"
 
 
 class CutLocusError(GrassmeanError):
@@ -21,6 +25,8 @@ class CutLocusError(GrassmeanError):
     computation and ``column`` the offending column in column-wise averaging.
     The mean solver attaches its partial ``trace`` before re-raising.
     """
+
+    status = "cut_locus"
 
     def __init__(self, message, index=None, column=None):
         super().__init__(message)
@@ -36,17 +42,25 @@ class NotDescentDirectionError(GrassmeanError):
 class LineSearchFailedError(GrassmeanError):
     """Backtracking exhausted its shrink budget without an Armijo step."""
 
+    status = "line_search_failed"
+
 
 class DegenerateCurvatureError(GrassmeanError):
     """Second derivative along the search direction is numerically zero."""
+
+    status = "degenerate_curvature"
 
 
 class IllConditionedError(GrassmeanError):
     """A matrix that must be inverted is too close to singular."""
 
+    status = "ill_conditioned"
+
 
 class DegenerateAverageError(GrassmeanError):
     """Vector average cancelled to (numerically) zero."""
+
+    status = "degenerate_average"
 
 
 class AmbiguousModelWarning(UserWarning):

@@ -3,9 +3,11 @@
 A point is an n-by-n Hermitian projector P with trace m; a tangent vector at P
 is a Hermitian H with [P, [P, H]] = H. In this picture geodesics, parallel
 transport and the exponential map are all unitary conjugation flows
-e^{t[H,P]} (.) e^{-t[H,P]}, and the logarithm and geodesic distance come from
-principal angles between the two subspaces, which one batched kernel computes
-from orthonormal bases.
+e^{t[H,P]} (.) e^{-t[H,P]}, computed as in the Karcher solver: in a unitary
+frame [X1 X2] of P, H is its block X1^H H X2 and the flow moves the frame in
+closed form (Edelman, Arias & Smith 1998). The logarithm and geodesic distance
+come from principal angles between the two subspaces, which one batched
+kernel computes from orthonormal bases.
 """
 
 from __future__ import annotations
@@ -173,12 +175,23 @@ def projector_from_basis(basis) -> GrassmannPoint:
     return GrassmannPoint(mat, basis.rank)
 
 
-def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
-    """Orthonormal basis of the projector's range (top eigenvectors)."""
+def _frame(point: GrassmannPoint) -> np.ndarray:
+    """Unitary frame [X1 X2] of the projector: its eigenvectors, range first."""
     vals, vecs = linalg.hermitian_eig(point.matrix)
     if vals[point.rank - 1] < 0.5:
         raise InvalidInputError("projector is rank deficient")
-    return StiefelBasis(vecs[:, :point.rank])
+    return vecs
+
+
+def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
+    """The span of the first m columns of a frame, as a projector."""
+    x1 = frame[:, :m]
+    return GrassmannPoint(x1 @ x1.conj().T, m)
+
+
+def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
+    """Orthonormal basis of the projector's range (top eigenvectors)."""
+    return StiefelBasis(_frame(point)[:, :point.rank])
 
 
 def complete_frame(basis) -> np.ndarray:
@@ -216,18 +229,54 @@ def zero_tangent(point: GrassmannPoint) -> TangentVector:
     return TangentVector(point, np.zeros((point.dim, point.dim), dtype=complex))
 
 
-def _flow(point: GrassmannPoint, velocity: TangentVector, t: float) -> np.ndarray:
-    """Unitary e^{t[H,P]} driving the geodesic with initial velocity H."""
+def _tangent_block(frame: np.ndarray, m: int, matrix: np.ndarray) -> np.ndarray:
+    """Block X1^H H X2 of a tangent matrix H in the frame [X1 X2]."""
+    return frame[:, :m].conj().T @ matrix @ frame[:, m:]
+
+
+def _tangent_matrix(x: np.ndarray, x2: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Hermitian matrix whose block in the frame [X X2] is [[0, B], [B^H, 0]]."""
+    half = x @ block @ x2.conj().T
+    return half + half.conj().T
+
+
+def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
+    """The frame [X1 X2] moved by the geodesic flow with velocity block D.
+
+    With D = U S V^H, X1(t) = X1 + X1 U (cos tS - I) U^H + X2 V sin(tS) U^H
+    and X2(t) = X2 - X1 U sin(tS) V^H + X2 V (cos tS - I) V^H; the moved
+    frame is e^{t[H,P]} [X1 X2] for the tangent H with block D. Returns a
+    function of t giving X1(t), or the whole frame when ``full`` is set.
+    """
+    x1, x2 = frame[:, :m], frame[:, m:]
+    u, sigma, vh = np.linalg.svd(block, full_matrices=False)
+    x1u, x2v = x1 @ u, x2 @ vh.conj().T
+
+    def at(t: float, full: bool = False) -> np.ndarray:
+        bend, sine = np.cos(t * sigma) - 1.0, np.sin(t * sigma)
+        head = x1 + (x1u * bend + x2v * sine) @ u.conj().T
+        if not full:
+            return head
+        return np.hstack([head, x2 + (x2v * bend - x1u * sine) @ vh])
+
+    return at
+
+
+def _moved_frame(point: GrassmannPoint, velocity: TangentVector, t: float):
+    """The frame of ``point`` and its image at t under the flow of ``velocity``."""
+    require_anchored(velocity, point)
     if not np.isfinite(t):
         raise InvalidInputError("geodesic parameter must be finite")
-    return linalg.expm_skew(float(t) * commutator(velocity.matrix, point.matrix))
+    m = point.rank
+    frame = _frame(point)
+    path = _geodesic(frame, m, _tangent_block(frame, m, velocity.matrix))
+    return frame, path(float(t), full=True)
 
 
 def geodesic(point: GrassmannPoint, velocity: TangentVector, t: float) -> GrassmannPoint:
     """Point at parameter t of the geodesic through ``point`` with ``velocity``."""
-    require_anchored(velocity, point)
-    mover = _flow(point, velocity, t)
-    return GrassmannPoint(mover @ point.matrix @ mover.conj().T, point.rank)
+    _, moved = _moved_frame(point, velocity, t)
+    return _point(moved, point.rank)
 
 
 def exp(point: GrassmannPoint, velocity: TangentVector) -> GrassmannPoint:
@@ -240,13 +289,13 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     """Transport ``vector`` along the geodesic driven by ``velocity``.
 
     Both inputs must be anchored at the same point; the result is anchored at
-    the geodesic point at parameter t. Transport is a metric isometry.
+    the geodesic point at parameter t. The vector keeps its block in the
+    moved frame, so transport is a metric isometry.
     """
-    point = vector.base
-    require_anchored(velocity, point)
-    mover = _flow(point, velocity, t)
-    new_base = GrassmannPoint(mover @ point.matrix @ mover.conj().T, point.rank)
-    return TangentVector(new_base, mover @ vector.matrix @ mover.conj().T)
+    point, m = vector.base, vector.base.rank
+    frame, moved = _moved_frame(point, velocity, t)
+    block = _tangent_block(frame, m, vector.matrix)
+    return TangentVector(_point(moved, m), _tangent_matrix(moved[:, :m], moved[:, m:], block))
 
 
 def _overlap_svd(square: np.ndarray, vectors: bool):
@@ -302,12 +351,6 @@ def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
     return angles, stacked @ over[:, :, m:].reshape(count * m, -1)
 
 
-def _tangent_matrix(x: np.ndarray, x2: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Hermitian matrix whose block in the frame [X X2] is [[0, B], [B^H, 0]]."""
-    half = x @ block @ x2.conj().T
-    return half + half.conj().T
-
-
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
@@ -332,7 +375,7 @@ def log(point: GrassmannPoint, target: GrassmannPoint,
     """
     _require_same_space(point, target)
     m = point.rank
-    frame = complete_frame(basis_from_projector(point).matrix)
+    frame = _frame(point)
     x, x2 = frame[:, :m], frame[:, m:]
     y = basis_from_projector(target).matrix
     _, block = _principal_angles(x, y[np.newaxis], cut_tol, x2)

@@ -32,7 +32,11 @@ from .grassmann import (
     GrassmannPoint,
     StiefelBasis,
     TangentVector,
+    _frame,
+    _geodesic,
+    _point,
     _principal_angles,
+    _tangent_block,
     _tangent_matrix,
     basis_from_projector,
     complete_frame,
@@ -43,6 +47,8 @@ from . import linalg
 
 DIRECTION_RULES = ("hs", "pr", "fr", "dy", "star")
 STEP_RULES = ("backtracking", "newton_cp")
+ARMIJO_C = 1e-4
+SHRINK = 0.5
 MAX_SHRINKS = 60
 NOISE_SLOPE_FACTOR = 1e4
 CURVATURE_TOL = 1e-14
@@ -54,8 +60,8 @@ INIT_GAP_TOL = 1e-8
 class CGConfig:
     """Solver knobs.
 
-    ``step_init``, ``armijo_c`` and ``shrink`` parametrize backtracking
-    (initial step, sufficient-decrease constant, shrink factor). The Newton
+    ``step_init`` is the first trial step of backtracking, which shrinks it by
+    SHRINK until the ARMIJO_C sufficient-decrease test passes. The Newton
     step rule is only valid for rank-one subspaces and is capped at
     ``step_init``. ``restart_period`` defaults to one less than the real
     dimension of the manifold, 2m(n-m) - 1, when left unset.
@@ -64,8 +70,6 @@ class CGConfig:
     direction_rule: str = "hs"
     step_rule: str = "backtracking"
     step_init: float = 1.0
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
     grad_tol: float = 1e-8
     max_iter: int = 500
     restart_period: int = None
@@ -75,10 +79,6 @@ class CGConfig:
             raise InvalidInputError(f"unknown direction rule {self.direction_rule!r}")
         if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
-        if not 0 < self.armijo_c < 1:
-            raise InvalidInputError("armijo_c must lie in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise InvalidInputError("shrink must lie in (0, 1)")
         for name in ("step_init", "grad_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidInputError(f"{name} must be positive and finite")
@@ -147,7 +147,7 @@ def _require_member(problem: KarcherProblem, point: GrassmannPoint) -> None:
 
 def _frame_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
     _require_member(problem, point)
-    return complete_frame(basis_from_projector(point).matrix)
+    return _frame(point)
 
 
 def _metric(first: np.ndarray, second: np.ndarray) -> float:
@@ -173,24 +173,24 @@ def _cost_from_basis(problem: KarcherProblem, basis: np.ndarray,
     return float(2.0 * np.sum(angles * angles)) / problem.size
 
 
-def _residual_block(problem: KarcherProblem, frame: np.ndarray,
-                    cut_tol: float = CUT_LOCUS_TOL) -> np.ndarray:
-    """Block, in the unitary ``frame`` [X1 X2], of minus the summed data logs.
+def _evaluate(problem: KarcherProblem, frame: np.ndarray,
+              cut_tol: float = CUT_LOCUS_TOL):
+    """Principal angles, cost and residual block at ``frame``, from one kernel call.
 
-    This residual field is N/2 times the gradient of karcher_cost. The solver
-    searches along it, so a unit trial step is the exact minimizer for one
-    datum and backtracking from step 1 is well scaled.
+    The residual, minus the summed data logs, is N/2 times the gradient of
+    karcher_cost. The solver searches along it, so a unit trial step is the
+    exact minimizer for one datum and backtracking from step 1 is well scaled.
     """
     m = problem.rank
-    _, block = _principal_angles(frame[:, :m], problem.bases, cut_tol, frame[:, m:])
-    return -block
+    angles, block = _principal_angles(frame[:, :m], problem.bases, cut_tol, frame[:, m:])
+    return angles, float(2.0 * np.sum(angles * angles)) / problem.size, -block
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint,
                      cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
     frame = _frame_of(problem, point)
-    block = (2.0 / problem.size) * _residual_block(problem, frame, cut_tol)
+    block = (2.0 / problem.size) * _evaluate(problem, frame, cut_tol)[2]
     m = problem.rank
     return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:], block))
 
@@ -200,16 +200,16 @@ def backtracking_step(objective, value0: float, slope: float, config: CGConfig) 
 
     ``objective`` maps a step size to the cost at the curve point, ``value0``
     is the cost at step 0 and ``slope`` the derivative there (must be
-    negative). Returns step_init * shrink**k for the smallest k >= 0 passing
+    negative). Returns step_init * SHRINK**k for the smallest k >= 0 passing
     the sufficient-decrease test; gives up after MAX_SHRINKS shrinks.
     """
     if not slope < 0:
         raise NotDescentDirectionError(f"slope along the search direction is {slope:.3e}")
     step = config.step_init
     for _ in range(MAX_SHRINKS + 1):
-        if objective(step) <= value0 + config.armijo_c * step * slope:
+        if objective(step) <= value0 + ARMIJO_C * step * slope:
             return step
-        step *= config.shrink
+        step *= SHRINK
     raise LineSearchFailedError(
         f"no Armijo step after {MAX_SHRINKS} shrinks (slope {slope:.3e})")
 
@@ -227,35 +227,15 @@ def _at_noise_floor(gnorm: float, value0: float) -> bool:
     return gnorm * gnorm <= NOISE_SLOPE_FACTOR * np.finfo(float).eps * max(1.0, value0)
 
 
-def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
-    """The frame [X1 X2] moved by the geodesic flow with velocity block D.
-
-    With D = U S V^H, X1(t) = X1 + X1 U (cos tS - I) U^H + X2 V sin(tS) U^H
-    and X2(t) = X2 - X1 U sin(tS) V^H + X2 V (cos tS - I) V^H. Returns a
-    function of t giving X1(t), or the whole frame when ``full`` is set.
-    """
-    x1, x2 = frame[:, :m], frame[:, m:]
-    u, sigma, vh = np.linalg.svd(block, full_matrices=False)
-    x1u, x2v = x1 @ u, x2 @ vh.conj().T
-
-    def at(t: float, full: bool = False) -> np.ndarray:
-        bend, sine = np.cos(t * sigma) - 1.0, np.sin(t * sigma)
-        head = x1 + (x1u * bend + x2v * sine) @ u.conj().T
-        if not full:
-            return head
-        return np.hstack([head, x2 + (x2v * bend - x1u * sine) @ vh])
-
-    return at
-
-
 def _newton_step(problem: KarcherProblem, frame: np.ndarray, block: np.ndarray,
-                 domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
+                 angles: np.ndarray, domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
     """Newton step size along the tangent block d = ``block`` in ``frame``, rank one.
 
     Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With the overlaps
     c_i = y_i^H x1 and e_i = y_i^H X2 d^H, its derivatives at t = 0 are
     lambda' = 2 Re(c_i conj(e_i)) and lambda'' = 2 |e_i|^2 - 2 |c_i|^2 |d|^2.
-    The step is -F'(0) / |F''(0)|. Every lambda_i must stay inside
+    ``angles`` are the kernel's (N, 1) principal angles at ``frame``. The
+    step is -F'(0) / |F''(0)|. Every lambda_i must stay inside
     (domain_tol, 1 - domain_tol).
     """
     over = problem.bases[:, :, 0].conj() @ np.column_stack(
@@ -269,7 +249,7 @@ def _newton_step(problem: KarcherProblem, frame: np.ndarray, block: np.ndarray,
     lam_dd = 2.0 * (e * e.conj()).real - lam * speed
     spread = lam - lam * lam
     root = np.sqrt(spread)
-    angles = np.arccos(np.sqrt(lam))
+    angles = angles[:, 0]
     first = -(2.0 / problem.size) * np.sum(angles * lam_d / root)
     second = (2.0 / problem.size) * np.sum(
         lam_d * lam_d / (2.0 * spread)
@@ -291,8 +271,9 @@ def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
         raise InvalidInputError("the Newton step rule requires rank-one subspaces")
     frame = _frame_of(problem, point)
     require_anchored(direction, point)
-    block = frame[:, :1].conj().T @ direction.matrix @ frame[:, 1:]
-    return _newton_step(problem, frame, block, domain_tol)
+    angles, _ = _principal_angles(frame[:, :1], problem.bases)
+    return _newton_step(problem, frame, _tangent_block(frame, 1, direction.matrix),
+                        angles, domain_tol)
 
 
 def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
@@ -346,19 +327,6 @@ def default_init(problem: KarcherProblem) -> GrassmannPoint:
     return projector_from_basis(_anchor_basis(problem))
 
 
-_ERROR_STATUS = {
-    CutLocusError: "cut_locus",
-    LineSearchFailedError: "line_search_failed",
-    DegenerateCurvatureError: "degenerate_curvature",
-    DomainError: "domain_error",
-}
-
-
-def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
-    x1 = frame[:, :m]
-    return GrassmannPoint(x1 @ x1.conj().T, m)
-
-
 def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                  config: CGConfig = None, callback=None):
     """Minimize the Karcher cost by conjugate gradient on the Grassmannian.
@@ -387,7 +355,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     trace = CGTrace()
 
     def fail(err):
-        trace.status = _ERROR_STATUS.get(type(err), "error")
+        trace.status = err.status
         err.trace = trace
         return err
 
@@ -397,8 +365,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                  TangentVector(point, _tangent_matrix(x1, x2, direction)))
 
     try:
-        grad = _residual_block(problem, frame)
-        cost = _cost_from_basis(problem, frame[:, :m])
+        angles, cost, grad = _evaluate(problem, frame)
     except CutLocusError as err:
         raise fail(err)
     gnorm = math.sqrt(_metric(grad, grad))
@@ -419,7 +386,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
         path = _geodesic(frame, m, direction)
         try:
             if config.step_rule == "newton_cp":
-                step = _newton_step(problem, frame, direction)
+                step = _newton_step(problem, frame, direction, angles)
                 capped, step = step > config.step_init, min(step, config.step_init)
             elif noise_floor:
                 step = 1.0 / problem.size
@@ -447,8 +414,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
             frame, tri = np.linalg.qr(path(step, full=True))
             phases = np.diagonal(tri)
             frame = frame * (phases / np.abs(phases))
-            new_grad = _residual_block(problem, frame)
-            new_cost = _cost_from_basis(problem, frame[:, :m])
+            angles, new_cost, new_grad = _evaluate(problem, frame)
         except (CutLocusError, LineSearchFailedError, DegenerateCurvatureError,
                 DomainError) as err:
             raise fail(err)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import grassmean.blindid as blindid
-from conftest import random_unitary
+import grassmean.karcher as karcher
+from conftest import random_cloud, random_unitary
 from grassmean.blindid import (
     EstimateSet,
     MixingExperiment,
@@ -19,11 +20,17 @@ from grassmean.blindid import (
 )
 from grassmean.exceptions import (
     AmbiguousModelWarning,
+    CutLocusError,
     DegenerateAverageError,
+    DegenerateCurvatureError,
+    DomainError,
     IllConditionedError,
     InvalidInputError,
+    LineSearchFailedError,
+    NotDescentDirectionError,
 )
 from grassmean.grassmann import dist, exp, log, projector_from_basis
+from grassmean.karcher import CGConfig, KarcherProblem, karcher_mean
 
 
 def unit_columns(mat):
@@ -266,6 +273,38 @@ def test_run_experiment_records_failures(monkeypatch):
     for row in rows:
         assert row.status == "ill_conditioned"
         assert row.amari_karcher is None and row.amari_euclid is None
+
+
+@pytest.mark.parametrize("module, name, error, status", [
+    (karcher, "_newton_step", CutLocusError, "cut_locus"),
+    (karcher, "_newton_step", LineSearchFailedError, "line_search_failed"),
+    (karcher, "_newton_step", DegenerateCurvatureError, "degenerate_curvature"),
+    (karcher, "_newton_step", DomainError, "domain_error"),
+    (blindid, "average_euclid", DegenerateAverageError, "degenerate_average"),
+    (karcher, "_newton_step", InvalidInputError, None),
+    (karcher, "_newton_step", NotDescentDirectionError, None),
+])
+def test_typed_failures_carry_their_status(monkeypatch, module, name, error, status):
+    # the status strings are stored in results CSVs and counted by the
+    # benchmark, so they are pinned literally; errors without one propagate
+    def broken(*args):
+        raise error("forced failure")
+
+    monkeypatch.setattr(module, name, broken)
+    if module is karcher:
+        _, points = random_cloud(4, 1, 5, 0.3, np.random.default_rng(40))
+        with pytest.raises(error) as info:
+            karcher_mean(KarcherProblem(points), config=CGConfig(step_rule="newton_cp"))
+        if status is not None:
+            assert info.value.trace.status == status
+    cfg = MixingExperiment(n=3, n_estimations=3, trials=1, samples_per_trial=500)
+    if status is None:
+        with pytest.raises(error):
+            run_experiment(cfg, "noise_level", [0.5])
+        return
+    (row,) = run_experiment(cfg, "noise_level", [0.5])
+    assert row.status == status
+    assert row.amari_karcher is None and row.amari_euclid is None
 
 
 def test_karcher_beats_euclid_at_high_noise():

@@ -239,6 +239,33 @@ def test_parallel_transport_isometry():
         assert abs(at.norm() - a.norm()) < 1e-10
 
 
+def test_geodesic_exp_and_transport_match_the_expm_conjugation():
+    # the paper's formulas as an independent reference: with U = e^{t[H,P]},
+    # the geodesic point is U P U^H and a transported vector is U xi U^H
+    rng = np.random.default_rng(26)
+
+    def draw(point, size):
+        if point.rank == point.dim:  # the only tangent there is zero
+            return zero_tangent(point)
+        return random_tangent(point, rng, size)
+
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 1))
+        p = random_point(n, m, rng)
+        t = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+        vel = draw(p, rng.uniform(0.0, 3.0) / abs(t))  # |tH| up to 3
+        xi = draw(p, rng.uniform(0.0, 5.0))
+        u = scipy.linalg.expm(t * commutator(vel.matrix, p.matrix))
+        moved = u @ p.matrix @ u.conj().T
+        assert np.linalg.norm(geodesic(p, vel, t).matrix - moved) < 1e-12
+        assert np.linalg.norm(exp(p, t * vel).matrix - moved) < 1e-12
+        carried = parallel_transport(xi, vel, t)
+        assert np.linalg.norm(carried.base.matrix - moved) < 1e-12
+        gap = np.linalg.norm(carried.matrix - u @ xi.matrix @ u.conj().T)
+        assert gap < 1e-12 * max(1.0, xi.norm())
+
+
 def test_transport_of_velocity_matches_geodesic_derivative():
     rng = np.random.default_rng(23)
     p = random_point(5, 2, rng)

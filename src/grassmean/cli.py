@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     mean.add_argument("--grad-tol", type=float, default=1e-8,
                       help="gradient-norm stopping tolerance")
     mean.add_argument("--max-iter", type=int, default=500, help="iteration cap")
-    mean.add_argument("--step-init", type=float, default=1.0,
-                      help="initial trial step for line searches")
     mean.add_argument("--repair", action="store_true",
                       help="re-orthonormalize bases that fail the file check")
 
@@ -94,8 +92,7 @@ def _run_karcher_mean(args) -> int:
     trace_path = args.trace if args.trace else _default_trace_path(args.out)
     problem = KarcherProblem(read_subspace_file(args.input, repair=args.repair))
     config = CGConfig(direction_rule=args.rule, step_rule=_STEP_RULES[args.step],
-                      step_init=args.step_init, grad_tol=args.grad_tol,
-                      max_iter=args.max_iter)
+                      grad_tol=args.grad_tol, max_iter=args.max_iter)
     try:
         point, trace = karcher_mean(problem, config=config)
     except CutLocusError as err:

@@ -51,6 +51,7 @@ ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_SHRINKS = 60
 NOISE_SLOPE_FACTOR = 1e4
+NEWTON_STEP_CAP = 1.0
 CURVATURE_TOL = 1e-14
 NEWTON_DOMAIN_TOL = 1e-12
 INIT_GAP_TOL = 1e-8
@@ -60,16 +61,14 @@ INIT_GAP_TOL = 1e-8
 class CGConfig:
     """Solver knobs.
 
-    ``step_init`` is the first trial step of backtracking, which shrinks it by
-    SHRINK until the ARMIJO_C sufficient-decrease test passes. The Newton
-    step rule is only valid for rank-one subspaces and is capped at
-    ``step_init``. ``restart_period`` defaults to one less than the real
-    dimension of the manifold, 2m(n-m) - 1, when left unset.
+    Step scales are worked out, not set: backtracking starts at 1/N (see
+    ``karcher_mean``), and the Newton rule, valid only for rank-one subspaces,
+    is capped at NEWTON_STEP_CAP. ``restart_period`` defaults to one less than
+    the real dimension of the manifold, 2m(n-m) - 1, when left unset.
     """
 
     direction_rule: str = "hs"
     step_rule: str = "backtracking"
-    step_init: float = 1.0
     grad_tol: float = 1e-8
     max_iter: int = 500
     restart_period: int = None
@@ -79,9 +78,8 @@ class CGConfig:
             raise InvalidInputError(f"unknown direction rule {self.direction_rule!r}")
         if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
-        for name in ("step_init", "grad_tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise InvalidInputError(f"{name} must be positive and finite")
+        if not 0 < self.grad_tol < np.inf:
+            raise InvalidInputError("grad_tol must be positive and finite")
         if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
             raise InvalidInputError("max_iter must be an integer of at least 1")
         period = 1 if self.restart_period is None else self.restart_period
@@ -178,8 +176,9 @@ def _evaluate(problem: KarcherProblem, frame: np.ndarray,
     """Principal angles, cost and residual block at ``frame``, from one kernel call.
 
     The residual, minus the summed data logs, is N/2 times the gradient of
-    karcher_cost. The solver searches along it, so a unit trial step is the
-    exact minimizer for one datum and backtracking from step 1 is well scaled.
+    karcher_cost. The solver searches along it, so the step 1/N is the
+    Karcher fixed-point step (a move by the mean log) and step 1 is exact for
+    one datum.
     """
     m = problem.rank
     angles, block = _principal_angles(frame[:, :m], problem.bases, cut_tol, frame[:, m:])
@@ -195,17 +194,16 @@ def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint,
     return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:], block))
 
 
-def backtracking_step(objective, value0: float, slope: float, config: CGConfig) -> float:
+def backtracking_step(objective, value0: float, slope: float, step: float) -> float:
     """Armijo backtracking along a parametrized curve.
 
     ``objective`` maps a step size to the cost at the curve point, ``value0``
-    is the cost at step 0 and ``slope`` the derivative there (must be
-    negative). Returns step_init * SHRINK**k for the smallest k >= 0 passing
-    the sufficient-decrease test; gives up after MAX_SHRINKS shrinks.
+    is the cost at step 0 and ``slope`` the derivative of that same cost there
+    (must be negative). Returns step * SHRINK**k for the smallest k >= 0
+    passing the sufficient-decrease test; gives up after MAX_SHRINKS shrinks.
     """
     if not slope < 0:
         raise NotDescentDirectionError(f"slope along the search direction is {slope:.3e}")
-    step = config.step_init
     for _ in range(MAX_SHRINKS + 1):
         if objective(step) <= value0 + ARMIJO_C * step * slope:
             return step
@@ -214,17 +212,18 @@ def backtracking_step(objective, value0: float, slope: float, config: CGConfig) 
         f"no Armijo step after {MAX_SHRINKS} shrinks (slope {slope:.3e})")
 
 
-def _at_noise_floor(gnorm: float, value0: float) -> bool:
+def _at_noise_floor(decrease: float, value0: float) -> bool:
     """Whether Armijo comparisons along steepest descent are rounding noise.
 
-    Near the minimizer the decrease per step, about gnorm^2 / (2 N), drops
-    below the rounding noise of the cost long before the gradient loses
+    ``decrease``, the cost decrease predicted at the first trial step 1/N, is
+    2 gnorm^2 / N^2 for a residual of norm gnorm. Near the minimizer it drops
+    below the rounding noise of ``value0`` long before the residual loses
     accuracy. A comparison there passes or fails by chance, and a chance pass
     at a step too small to move the iterate freezes the solver. The curvature
     along the residual field approaches N there, so the solver takes the
-    model-exact steepest-descent step 1 / N without a cost comparison.
+    model-exact step 1/N without a cost comparison.
     """
-    return gnorm * gnorm <= NOISE_SLOPE_FACTOR * np.finfo(float).eps * max(1.0, value0)
+    return decrease <= NOISE_SLOPE_FACTOR * np.finfo(float).eps * max(1.0, value0)
 
 
 def _newton_step(problem: KarcherProblem, frame: np.ndarray, block: np.ndarray,
@@ -341,7 +340,8 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     The search direction, the trace's grad_norm column, the grad_tol stopping
     test and the callback's ``grad`` use the residual field -sum(log_P(Q_i)),
     N/2 times karcher_gradient, so the result meets the tolerance in the
-    gradient reading as well.
+    gradient reading as well. Backtracking starts at the Karcher fixed-point
+    step 1/N on that field (Afsari, Tron & Vidal 2013) and tests the mean cost.
     """
     if config is None:
         config = CGConfig()
@@ -374,22 +374,25 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     if callback is not None:
         report(0)
 
+    first_step, backtrack = 1.0 / problem.size, config.step_rule == "backtracking"
     iteration = 0
     while gnorm >= config.grad_tol and iteration < config.max_iter:
         iteration += 1
-        slope = _metric(grad, direction)
-        noise_floor = config.step_rule == "backtracking" and _at_noise_floor(gnorm, cost)
+        # slopes of the mean cost, 2/N times those along the residual field
+        slope = 2.0 * first_step * _metric(grad, direction)
+        steepest = -2.0 * first_step * gnorm * gnorm
+        noise_floor = backtrack and _at_noise_floor(-first_step * steepest, cost)
         forced_restart = noise_floor or not slope < 0.0
         if forced_restart:
-            direction, slope = -grad, -gnorm * gnorm
+            direction, slope = -grad, steepest
         capped = False
         path = _geodesic(frame, m, direction)
         try:
-            if config.step_rule == "newton_cp":
+            if not backtrack:
                 step = _newton_step(problem, frame, direction, angles)
-                capped, step = step > config.step_init, min(step, config.step_init)
+                capped, step = step > NEWTON_STEP_CAP, min(step, NEWTON_STEP_CAP)
             elif noise_floor:
-                step = 1.0 / problem.size
+                step = first_step
             else:
 
                 def line_value(a):
@@ -400,15 +403,15 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                         return float("inf")
 
                 try:
-                    step = backtracking_step(line_value, cost, slope, config)
+                    step = backtracking_step(line_value, cost, slope, first_step)
                 except LineSearchFailedError:
                     if forced_restart:
                         raise
                     # a stale conjugate direction can degenerate to numerical
                     # noise; retry from steepest descent before giving up
-                    direction, slope, forced_restart = -grad, -gnorm * gnorm, True
+                    direction, slope, forced_restart = -grad, steepest, True
                     path = _geodesic(frame, m, direction)
-                    step = backtracking_step(line_value, cost, slope, config)
+                    step = backtracking_step(line_value, cost, slope, first_step)
             # re-orthonormalize, folding R's diagonal phases back into Q so
             # the frame stays the transported one and carried blocks stay valid
             frame, tri = np.linalg.qr(path(step, full=True))

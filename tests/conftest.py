@@ -5,7 +5,7 @@ All tests draw from explicitly seeded generators so failures replay exactly.
 
 import numpy as np
 
-from grassmean.grassmann import GrassmannPoint, exp, tangent_project
+from grassmean.grassmann import GrassmannPoint, StiefelBasis, exp, tangent_project
 
 
 def random_unitary(n, rng):
@@ -38,3 +38,23 @@ def random_cloud(n, m, count, radius, rng):
         exp(center, random_tangent(center, rng, rng.uniform(0.2, 1.0) * radius))
         for _ in range(count))
     return center, points
+
+
+def basis_cloud(n, m, count, radius, rng):
+    """``count`` bases at geodesic distance 0.2..1 x ``radius`` from a random
+    subspace, built as one batched stack with no projector round trip.
+
+    Distances are in the projector metric, sqrt(2) times the norm of the
+    principal angles, as in ``random_cloud``.
+    """
+    frame = random_unitary(n, rng)
+    x1, x2 = frame[:, :m], frame[:, m:]
+    shape = (count, n - m, m)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    angle_norms = rng.uniform(0.2, 1.0, count) * radius / np.sqrt(2.0)
+    blocks *= (angle_norms / np.linalg.norm(blocks, axis=(1, 2)))[:, None, None]
+    # the geodesic from span(x1) along X2 B reaches X1 V cos(S) + U sin(S)
+    u, s, vh = np.linalg.svd(x2 @ blocks, full_matrices=False)
+    ends = (x1 @ vh.conj().transpose(0, 2, 1)) * np.cos(s)[:, None, :] \
+        + u * np.sin(s)[:, None, :]
+    return tuple(StiefelBasis(end) for end in ends)

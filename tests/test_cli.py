@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import random_cloud, random_unitary
 from grassmean.cli import main
 from grassmean.files import read_subspace_file, write_subspace_file
 from grassmean.grassmann import basis_from_projector
@@ -52,6 +52,22 @@ def test_karcher_mean_end_to_end(tmp_path, capsys):
     assert len(trace_lines) >= 2
 
 
+def test_karcher_mean_default_step_on_a_thousand_lines(tmp_path, capsys):
+    # 1000 noisy copies of one line in C^8, the file of the cli-file-mean
+    # benchmark workload (noise 0.3 / sqrt(2n)); backtracking must converge at
+    # this N with its default step scales, as the Newton rule does
+    rng = np.random.default_rng([1])
+    center = random_unitary(8, rng)[:, 0]
+    noise = rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8))
+    vectors = center + 0.3 * noise / 4.0
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    path = tmp_path / "lines.json"
+    write_subspace_file(path, [v[:, None] for v in vectors])
+    code = main(["karcher-mean", str(path), "--out", str(tmp_path / "mean.json")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "status = converged"
+
+
 def test_karcher_mean_iteration_cap_exit_code(tmp_path, capsys):
     src = cloud_file(tmp_path)
     out = tmp_path / "mean.json"
@@ -67,11 +83,10 @@ def test_karcher_mean_iteration_cap_exit_code(tmp_path, capsys):
 def test_karcher_mean_rejects_non_finite_options(tmp_path, capsys):
     src = cloud_file(tmp_path)
     out = tmp_path / "mean.json"
-    for flag in ("--grad-tol", "--step-init"):
-        code = main(["karcher-mean", str(src), "--out", str(out), flag, "inf"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+    code = main(["karcher-mean", str(src), "--out", str(out), "--grad-tol", "inf"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_karcher_mean_cut_locus_exit_code(tmp_path, capsys):

@@ -4,16 +4,21 @@ subspace averaging.
 Noncircular complex sources are mixed through a randomly perturbed matrix;
 each batch of observations yields one estimate of the mixing matrix through
 the strong uncorrelating transform (whitening followed by a Takagi
-factorization of the whitened pseudo-covariance). Estimated columns, viewed
-as lines in C^n, are then combined across batches either by Karcher averaging
-on projective space or by phase-aligned Euclidean averaging, and judged by
-the normalized Amari error against the true mixing matrix.
+factorization of the whitened pseudo-covariance). That transform needs only
+the observations' covariance and pseudo-covariance, so a benchmark trial
+takes them from its sources' second moments instead of mixing the samples;
+``mix`` and ``sut_estimate`` remain the public sample route. Estimated
+columns, viewed as lines in C^n, are then combined across batches either by
+Karcher averaging on projective space or by phase-aligned Euclidean
+averaging, and judged by the normalized Amari error against the true mixing
+matrix.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +43,12 @@ MIN_SAMPLES_PER_SOURCE = 10
 
 @dataclass(frozen=True)
 class MixingExperiment:
-    """Configuration of one benchmark sweep."""
+    """Configuration of one benchmark sweep.
+
+    Every field is checked here, once: the counts and the seed must be
+    integers and the noise level finite, so the trials that follow run
+    unvalidated.
+    """
 
     n: int = 5
     n_estimations: int = 10
@@ -48,17 +58,22 @@ class MixingExperiment:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_estimations", "trials", "samples_per_trial", "rng_seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise InvalidInputError(f"{name} must be an integer")
         if self.n < 2:
             raise InvalidInputError("need at least two sources")
         if self.n_estimations < 1:
             raise InvalidInputError("need at least one estimation per trial")
-        if self.noise_level < 0:
-            raise InvalidInputError("noise level must be nonnegative")
+        if not 0 <= self.noise_level < np.inf:
+            raise InvalidInputError("noise level must be nonnegative and finite")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
         if self.samples_per_trial < MIN_SAMPLES_PER_SOURCE * self.n:
             raise InvalidInputError(
                 f"need at least {MIN_SAMPLES_PER_SOURCE * self.n} samples for n={self.n}")
+        if self.rng_seed < 0:
+            raise InvalidInputError("rng_seed must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -111,7 +126,10 @@ def generate_sources(n: int, num_samples: int, rng) -> np.ndarray:
     theta = (np.arange(1, n + 1) / (n + 1)) * (np.pi / 4)
     x = rng.standard_normal((n, num_samples))
     y = rng.standard_normal((n, num_samples))
-    return np.cos(theta)[:, None] * x + 1j * np.sin(theta)[:, None] * y
+    sources = np.empty((n, num_samples), dtype=complex)
+    np.multiply(np.cos(theta)[:, None], x, out=sources.real)
+    np.multiply(np.sin(theta)[:, None], y, out=sources.imag)
+    return sources
 
 
 def mix(mixing: np.ndarray, perturbation: np.ndarray, noise_level: float,
@@ -138,25 +156,26 @@ def takagi(matrix: np.ndarray, group_tol: float = 1e-8):
     mat = linalg.as_matrix(matrix, "matrix")
     if mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("matrix must be square")
-    mat = 0.5 * (mat + mat.T)
-    left, vals, right_h = np.linalg.svd(mat)
+    return _takagi(0.5 * (mat + mat.T), group_tol)
+
+
+def _takagi(sym: np.ndarray, group_tol: float = 1e-8):
+    """``takagi`` of an exactly symmetric square matrix, unvalidated."""
+    left, vals, right_h = np.linalg.svd(sym)
     link = left.conj().T @ right_h.T
     scale = max(vals[0], 1.0)
-    merger = np.zeros_like(link)
-    start = 0
-    for stop in range(1, len(vals) + 1):
-        if stop < len(vals) and vals[start] - vals[stop] <= group_tol * scale:
-            continue
-        idx = np.arange(start, stop)
-        if vals[start] <= group_tol * scale:
-            merger[np.ix_(idx, idx)] = np.eye(len(idx))
-        else:
-            block = link[np.ix_(idx, idx)]
-            block = 0.5 * (block + block.T)
-            merger[np.ix_(idx, idx)] = scipy.linalg.sqrtm(block)
-        start = stop
-    factor = left @ merger
-    return vals, factor
+    # Groups are contiguous index ranges; each gap is measured from the
+    # start of its group. group[k] is the first index of k's group.
+    group = np.zeros(len(vals), dtype=int)
+    for k in range(1, len(vals)):
+        group[k] = group[k - 1] if vals[group[k - 1]] - vals[k] <= group_tol * scale else k
+    blocks = np.where(group[:, None] == group[None, :], link, 0.0)
+    blocks = 0.5 * (blocks + blocks.T)
+    zero = group[-1]
+    if vals[zero] <= group_tol * scale:
+        # the null space has no phase to merge; any unitary block will do
+        blocks[zero:, zero:] = np.eye(len(vals) - zero)
+    return vals, left @ scipy.linalg.sqrtm(blocks)
 
 
 def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray,
@@ -172,17 +191,27 @@ def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray,
     """
     cov = linalg.require_hermitian(cov, "covariance", tol=1e-10)
     pseudo = linalg.as_matrix(pseudo_cov, "pseudo-covariance")
-    vals, vecs = linalg.hermitian_eig(cov)
-    if vals[-1] <= 0 or vals[0] / vals[-1] > cond_limit:
+    if pseudo.shape != cov.shape:
+        raise InvalidInputError("covariance and pseudo-covariance shapes differ")
+    return _sut(cov, pseudo, cond_limit)
+
+
+def _sut(cov: np.ndarray, pseudo: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
+    """``sut_from_covariances`` on finite, equal-shaped square inputs, unvalidated.
+
+    Only the lower triangle of ``cov`` is read.
+    """
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] <= 0 or vals[-1] / vals[0] > cond_limit:
         raise IllConditionedError("covariance is numerically singular")
     whiten = (vecs * vals ** -0.5) @ vecs.conj().T
     color = (vecs * vals ** 0.5) @ vecs.conj().T
     sym = whiten @ pseudo @ whiten.T
-    spectrum, rotor = takagi(0.5 * (sym + sym.T))
+    spectrum, rotor = _takagi(0.5 * (sym + sym.T))
     if len(spectrum) > 1 and np.min(np.abs(np.diff(spectrum))) < CIRCULARITY_GAP_TOL:
         warnings.warn("estimated circularity coefficients nearly coincide; "
                       "column identification is unreliable", AmbiguousModelWarning,
-                      stacklevel=2)
+                      stacklevel=3)
     estimate = color @ rotor
     return estimate / np.linalg.norm(estimate, axis=0)
 
@@ -195,7 +224,21 @@ def sut_estimate(observations: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"need at least {MIN_SAMPLES_PER_SOURCE * n} samples")
     cov = obs @ obs.conj().T / count
     pseudo = obs @ obs.T / count
-    return sut_from_covariances(cov, pseudo)
+    return _sut(cov, pseudo)
+
+
+def _source_moments(sources: np.ndarray):
+    """Covariance E[s s^H] and pseudo-covariance E[s s^T] of the rows of ``sources``.
+
+    Both come from one real Gram matrix of the stacked real and imaginary
+    parts, with blocks rr, ri and ii: E[s s^H] = rr + ii + i(ri^T - ri) and
+    E[s s^T] = rr - ii + i(ri + ri^T).
+    """
+    n, count = sources.shape
+    parts = np.concatenate((sources.real, sources.imag))
+    gram = parts @ parts.T / count
+    rr, ri, ii = gram[:n, :n], gram[:n, n:], gram[n:, n:]
+    return (rr + ii) + 1j * (ri.T - ri), (rr - ii) + 1j * (ri + ri.T)
 
 
 def align_columns(estimates: EstimateSet) -> EstimateSet:
@@ -294,17 +337,32 @@ class TrialResult:
 SWEEP_PARAMS = ("noise_level", "n_estimations")
 
 
-def _run_trial(cfg: MixingExperiment, rng, cg_config: CGConfig):
+def _trial_estimates(cfg: MixingExperiment, rng):
+    """A trial's true mixing matrix and its (n_estimations, n, n) SUT estimates.
+
+    Each estimate is the SUT of the observations (A + eps Z) s. Their
+    covariance and pseudo-covariance are the sources' second moments carried
+    through M = A + eps Z, so the observations themselves are never formed.
+    The random draws, and their order, are those of the sample route
+    ``generate_sources`` -> ``mix`` -> ``sut_estimate``.
+    """
     n = cfg.n
     mixing = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    estimates = []
-    for _ in range(cfg.n_estimations):
+    estimates = np.empty((cfg.n_estimations, n, n), dtype=complex)
+    for i in range(cfg.n_estimations):
         perturbation = (rng.uniform(-0.5, 0.5, (n, n))
                         + 1j * rng.uniform(-0.5, 0.5, (n, n)))
         sources = generate_sources(n, cfg.samples_per_trial, rng)
-        observations = mix(mixing, perturbation, cfg.noise_level, sources)
-        estimates.append(sut_estimate(observations))
-    aligned = align_columns(EstimateSet(np.stack(estimates)))
+        source_cov, source_pseudo = _source_moments(sources)
+        mixer = mixing + cfg.noise_level * perturbation
+        estimates[i] = _sut(mixer @ source_cov @ mixer.conj().T,
+                            mixer @ source_pseudo @ mixer.T)
+    return mixing, estimates
+
+
+def _run_trial(cfg: MixingExperiment, rng, cg_config: CGConfig):
+    mixing, estimates = _trial_estimates(cfg, rng)
+    aligned = align_columns(EstimateSet(estimates))
     means = average_karcher(aligned, cg_config)
     karcher_est = np.column_stack(
         [basis_from_projector(p).matrix[:, 0] for p in means])

@@ -46,6 +46,14 @@ def test_experiment_config_validation():
         MixingExperiment(noise_level=-0.1)
     with pytest.raises(InvalidInputError):
         MixingExperiment(samples_per_trial=20)
+    # non-finite noise and non-integral counts are caught at the boundary,
+    # before any trial draws
+    for bad in ({"noise_level": np.nan}, {"noise_level": np.inf}, {"n": 2.5},
+                {"n_estimations": 2.0}, {"trials": 2.5},
+                {"samples_per_trial": 1000.5}, {"rng_seed": -1}, {"rng_seed": 0.5}):
+        with pytest.raises(InvalidInputError):
+            MixingExperiment(**bad)
+    assert MixingExperiment(n=np.int64(3), trials=np.int64(2)).n == 3
 
 
 def test_generate_sources_moments():
@@ -60,6 +68,17 @@ def test_generate_sources_moments():
     np.testing.assert_allclose(np.diag(pseudo).real, np.cos(2 * theta), atol=bound)
     # circularity coefficients are distinct by construction
     assert np.min(np.abs(np.diff(np.cos(2 * theta)))) > 0.01
+
+
+def test_generate_sources_is_the_documented_mix():
+    n, num = 4, 300
+    theta = (np.arange(1, n + 1) / (n + 1)) * (np.pi / 4)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((n, num))
+    y = rng.standard_normal((n, num))
+    expected = np.cos(theta)[:, None] * x + 1j * np.sin(theta)[:, None] * y
+    np.testing.assert_array_equal(generate_sources(n, num, np.random.default_rng(14)),
+                                  expected)
 
 
 def test_generate_sources_rejects_short_batch():
@@ -95,6 +114,18 @@ def test_takagi_degenerate_and_zero_spectrum():
     rng = np.random.default_rng(3)
     u = random_unitary(5, rng)
     vals = np.array([2.0, 1.0, 1.0, 0.5, 0.0])
+    sym = u @ np.diag(vals) @ u.T
+    got_vals, factor = takagi(sym)
+    np.testing.assert_allclose(got_vals, vals, atol=1e-10)
+    assert np.linalg.norm(factor.conj().T @ factor - np.eye(5)) < 1e-10
+    recon = factor @ np.diag(got_vals) @ factor.T
+    assert np.linalg.norm(recon - sym) < 1e-9
+
+
+def test_takagi_two_degenerate_pairs_and_a_simple_value():
+    rng = np.random.default_rng(13)
+    u = random_unitary(5, rng)
+    vals = np.array([1.5, 1.5, 1.0, 0.25, 0.25])
     sym = u @ np.diag(vals) @ u.T
     got_vals, factor = takagi(sym)
     np.testing.assert_allclose(got_vals, vals, atol=1e-10)
@@ -139,6 +170,8 @@ def test_sut_is_invariant_to_scaled_permutation_of_truth():
 def test_sut_rejects_singular_covariance():
     with pytest.raises(IllConditionedError):
         sut_from_covariances(np.diag([1.0, 1e-12]), np.eye(2))
+    with pytest.raises(InvalidInputError):
+        sut_from_covariances(np.eye(3), np.eye(2))
 
 
 def test_sut_warns_on_near_equal_circularity():
@@ -262,11 +295,58 @@ def test_run_experiment_rejects_unknown_sweep():
         run_experiment(cfg, "noise_level", [])
 
 
+def sample_route_estimates(cfg, rng):
+    # the trial's draws, replayed through the public sample route
+    n = cfg.n
+    mixing = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    estimates = []
+    for _ in range(cfg.n_estimations):
+        perturbation = (rng.uniform(-0.5, 0.5, (n, n))
+                        + 1j * rng.uniform(-0.5, 0.5, (n, n)))
+        sources = generate_sources(n, cfg.samples_per_trial, rng)
+        estimates.append(sut_estimate(mix(mixing, perturbation, cfg.noise_level, sources)))
+    return mixing, np.stack(estimates)
+
+
+def test_moment_route_matches_sample_route(monkeypatch):
+    cfg = MixingExperiment(n=5, n_estimations=4, noise_level=0.5, trials=5,
+                           samples_per_trial=2000, rng_seed=17)
+    mixing, estimates = blindid._trial_estimates(cfg, np.random.default_rng([17, 0]))
+    ref_mixing, ref_estimates = sample_route_estimates(cfg, np.random.default_rng([17, 0]))
+    np.testing.assert_array_equal(mixing, ref_mixing)
+    np.testing.assert_allclose(estimates, ref_estimates, rtol=0, atol=1e-10)
+
+    rows = run_experiment(cfg, "noise_level", [0.5])
+    monkeypatch.setattr(blindid, "_trial_estimates", sample_route_estimates)
+    ref_rows = run_experiment(cfg, "noise_level", [0.5])
+    assert [r.status for r in rows] == [r.status for r in ref_rows]
+    for row, ref in zip(rows, ref_rows):
+        if ref.status == "ok":
+            assert abs(row.amari_karcher - ref.amari_karcher) < 1e-9
+            assert abs(row.amari_euclid - ref.amari_euclid) < 1e-9
+
+
+def test_trial_draws_sources_once_per_estimation(monkeypatch):
+    # the benchmark's span tracer counts blindid.generate_sources calls, and
+    # its smoke test needs them to be nonzero on the trial workload
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generate_sources(*args)
+
+    monkeypatch.setattr(blindid, "generate_sources", counted)
+    cfg = MixingExperiment(n=3, n_estimations=4, trials=2, samples_per_trial=500)
+    rows = run_experiment(cfg, "noise_level", [0.5])
+    assert len(calls) == cfg.trials * cfg.n_estimations
+    assert all(row.status == "ok" for row in rows)
+
+
 def test_run_experiment_records_failures(monkeypatch):
-    def broken(observations):
+    def broken(cov, pseudo):
         raise IllConditionedError("forced failure")
 
-    monkeypatch.setattr(blindid, "sut_estimate", broken)
+    monkeypatch.setattr(blindid, "_sut", broken)
     cfg = MixingExperiment(n=3, n_estimations=2, trials=2, samples_per_trial=500)
     rows = run_experiment(cfg, "noise_level", [0.5])
     assert len(rows) == 2

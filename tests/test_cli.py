@@ -163,7 +163,17 @@ def test_bi_experiment_flag_validation(tmp_path, capsys):
     assert main(["bi-experiment", "--nest-list", "2.5", "--out", out]) == 1
     assert main(["bi-experiment", "--eps-list", "abc", "--out", out]) == 1
     assert main(["bi-experiment", "--eps-list", ",", "--out", out]) == 1
-    capsys.readouterr()
+    assert main(["bi-experiment", "--seed", "-1", "--out", out]) == 1
+    assert "rng_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0.5,nan"])
+def test_bi_experiment_rejects_non_finite_noise(tmp_path, capsys, eps):
+    out = tmp_path / "rows.csv"
+    assert main(["bi-experiment", "--n", "3", "--eps-list", eps, "--trials", "1",
+                 "--samples", "500", "--out", str(out)]) == 1
+    assert "noise level" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_same_seed_repeats_byte_identical(tmp_path):

@@ -31,7 +31,7 @@ from .exceptions import (
     IllConditionedError,
     InvalidInputError,
 )
-from .grassmann import StiefelBasis, basis_from_projector
+from .grassmann import STIEFEL_TOL, StiefelBasis, _frame, _stiefel_defects
 from .karcher import CGConfig, KarcherProblem, karcher_mean
 from . import linalg
 
@@ -78,7 +78,7 @@ class MixingExperiment:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class EstimateSet:
-    """A stack of mixing-matrix estimates with unit-norm columns.
+    """A stack of mixing-matrix estimates with unit-norm columns (as bases, to STIEFEL_TOL).
 
     ``matrices`` has shape (count, n, n); column j of ``matrices[i]`` is the
     representative unit vector of estimate i for source j.
@@ -87,15 +87,14 @@ class EstimateSet:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
+        mats = np.array(self.matrices, dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise InvalidInputError(f"expected a (count, n, n) stack, got shape {mats.shape}")
         if not np.all(np.isfinite(mats)):
             raise InvalidInputError("estimates contain non-finite entries")
-        norms = np.linalg.norm(mats, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-8:
-            raise InvalidInputError("estimate columns must have unit norm")
-        mats = mats.copy()
+        bad = np.argwhere(_stiefel_defects(mats.transpose(0, 2, 1)[..., np.newaxis]) >= STIEFEL_TOL)
+        if bad.size:
+            raise InvalidInputError("estimate {} column {} must have unit norm".format(*bad[0]))
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
@@ -106,9 +105,6 @@ class EstimateSet:
     @property
     def n(self) -> int:
         return self.matrices.shape[1]
-
-    def column_basis(self, i: int, j: int) -> StiefelBasis:
-        return StiefelBasis(self.matrices[i][:, j:j + 1])
 
     def __repr__(self):
         return f"EstimateSet(count={self.count}, n={self.n})"
@@ -272,11 +268,11 @@ def average_karcher(aligned: EstimateSet, config: CGConfig = None) -> list:
     """
     if config is None:
         config = CGConfig(step_rule="newton_cp")
+    columns = StiefelBasis._split(aligned.matrices.transpose(0, 2, 1).reshape(-1, aligned.n, 1))
     means = []
     for j in range(aligned.n):
-        problem = KarcherProblem(aligned.column_basis(i, j) for i in range(aligned.count))
         try:
-            point, _ = karcher_mean(problem, config=config)
+            point, _ = karcher_mean(KarcherProblem(columns[j::aligned.n]), config=config)
         except CutLocusError as err:
             raise CutLocusError(f"column {j}: {err}", index=err.index, column=j) from err
         means.append(point)
@@ -364,8 +360,7 @@ def _run_trial(cfg: MixingExperiment, rng, cg_config: CGConfig):
     mixing, estimates = _trial_estimates(cfg, rng)
     aligned = align_columns(EstimateSet(estimates))
     means = average_karcher(aligned, cg_config)
-    karcher_est = np.column_stack(
-        [basis_from_projector(p).matrix[:, 0] for p in means])
+    karcher_est = np.column_stack([_frame(p)[:, 0] for p in means])
     euclid_est = average_euclid(aligned)
     return amari_error(karcher_est, mixing), amari_error(euclid_est, mixing)
 

@@ -14,11 +14,12 @@ import json
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grassmann import StiefelBasis
+from .grassmann import StiefelBasis, _stiefel_defects
 
 FORMAT_VERSION = "1"
 KEEP_RAW_TOL = 1e-10
 POLISH_TOL = 1e-8
+_NUMBER = (int, float)  # the JSON number types; bool is excluded
 
 
 class SubspaceFileError(InvalidInputError):
@@ -59,15 +60,15 @@ def _require_int(payload: dict, key: str) -> int:
         raise SubspaceFileError(f"field {key!r} must be an integer, got {value!r}")
     return value
 
-def _read_entry(raw, where: str) -> complex:
-    if not isinstance(raw, dict):
+def _reject_entry(raw, where: str) -> None:
+    """Raise the error for an entry that is not an object of two JSON numbers."""
+    if type(raw) is not dict:
         raise SubspaceFileError(f"{where} must be an object with 're' and 'im'")
     for part in ("re", "im"):
         if part not in raw:
             raise SubspaceFileError(f"{where}.{part} is missing")
-        if isinstance(raw[part], bool) or not isinstance(raw[part], (int, float)):
+        if type(raw[part]) not in _NUMBER:
             raise SubspaceFileError(f"{where}.{part} must be a number, got {raw[part]!r}")
-    return complex(raw["re"], raw["im"])
 
 
 def _polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -78,10 +79,8 @@ def _polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
 def read_subspace_file(path, repair: bool = False) -> list:
     """Read a subspace file back into a list of StiefelBasis objects.
 
-    Bases whose orthonormality defect exceeds KEEP_RAW_TOL but stays within
-    POLISH_TOL are silently replaced by their polar factor; beyond that the
-    file is rejected unless ``repair`` is set, in which case the polar factor
-    is used as well.
+    Bases with a defect in (KEEP_RAW_TOL, POLISH_TOL], or above it with ``repair``, get their
+    polar factor. Errors go by kind (structure, non-finite, defect) and name the lowest basis.
     """
     with open(path) as handle:
         try:
@@ -107,29 +106,31 @@ def read_subspace_file(path, repair: bool = False) -> list:
         raise SubspaceFileError("field 'bases' must be a list")
     if len(raw_bases) != count:
         raise SubspaceFileError(f"count says {count} bases, found {len(raw_bases)}")
-    out = []
+    parts = []  # re, im of every entry in file order
     for b, raw_mat in enumerate(raw_bases):
         if not isinstance(raw_mat, list) or len(raw_mat) != n:
             raise SubspaceFileError(f"bases[{b}] must be a list of {n} rows")
-        mat = np.empty((n, m), dtype=complex)
         for r, raw_row in enumerate(raw_mat):
             if not isinstance(raw_row, list) or len(raw_row) != m:
                 raise SubspaceFileError(f"bases[{b}][{r}] must be a list of {m} entries")
             for c, raw in enumerate(raw_row):
-                mat[r, c] = _read_entry(raw, f"bases[{b}][{r}][{c}]")
-        if not np.all(np.isfinite(mat)):
-            raise SubspaceFileError(f"bases[{b}] contains non-finite entries")
-        defect = np.linalg.norm(mat.conj().T @ mat - np.eye(m))
-        if defect > KEEP_RAW_TOL:
-            if defect > POLISH_TOL and not repair:
-                raise SubspaceFileError(
-                    f"bases[{b}] is not orthonormal (defect {defect:.3g}); "
-                    "pass repair to re-orthonormalize")
-            if np.linalg.matrix_rank(mat) < m:
-                raise SubspaceFileError(f"bases[{b}] is rank deficient; cannot repair")
-            mat = _polar_orthonormalize(mat)
-        out.append(StiefelBasis(mat))
-    return out
+                if (type(raw) is not dict or type(raw.get("re")) not in _NUMBER
+                        or type(raw.get("im")) not in _NUMBER):
+                    _reject_entry(raw, f"bases[{b}][{r}][{c}]")
+                parts += raw["re"], raw["im"]
+    stack = np.array(parts, dtype=float).view(complex).reshape(count, n, m)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise SubspaceFileError(f"bases[{bad[0]}] contains non-finite entries")
+    defects = _stiefel_defects(stack)
+    for b in np.flatnonzero(defects > KEEP_RAW_TOL):
+        if defects[b] > POLISH_TOL and not repair:
+            raise SubspaceFileError(f"bases[{b}] is not orthonormal (defect {defects[b]:.3g}); "
+                                    "pass repair to re-orthonormalize")
+        if np.linalg.matrix_rank(stack[b]) < m:
+            raise SubspaceFileError(f"bases[{b}] is rank deficient; cannot repair")
+        stack[b] = _polar_orthonormalize(stack[b])
+    return StiefelBasis._split(stack)
 
 
 def _cell(value) -> str:

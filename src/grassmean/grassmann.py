@@ -69,6 +69,14 @@ class GrassmannPoint:
         return f"GrassmannPoint(n={self.dim}, m={self.rank})"
 
 
+def _stiefel_defects(stack: np.ndarray) -> np.ndarray:
+    """|B^H B - I|_F of each basis B in an (..., n, m) stack, from one batched product."""
+    m = stack.shape[-1]
+    gram = (stack.conj().swapaxes(-1, -2) @ stack).reshape(*stack.shape[:-2], m * m)
+    gram[..., ::m + 1] -= 1.0  # the diagonal
+    return np.sqrt(np.vecdot(gram, gram).real)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class StiefelBasis:
     """n-by-m matrix with orthonormal columns spanning a subspace."""
@@ -80,12 +88,27 @@ class StiefelBasis:
         n, m = mat.shape
         if not 1 <= m <= n:
             raise InvalidInputError(f"basis shape {mat.shape} is not tall")
-        defect = np.linalg.norm(mat.conj().T @ mat - np.eye(m))
+        defect = _stiefel_defects(mat)
         if defect >= STIEFEL_TOL:
             raise InvalidInputError(f"columns are not orthonormal (defect {defect:.3e})")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _split(cls, stack: np.ndarray) -> list:
+        """One batched check of a finite (N, n, m) stack, then views of one read-only copy."""
+        defects = _stiefel_defects(stack)
+        bad = np.flatnonzero(defects >= STIEFEL_TOL)
+        if bad.size:
+            raise InvalidInputError(f"bases[{bad[0]}]: columns are not orthonormal "
+                                    f"(defect {defects[bad[0]]:.3e})")
+        stack = np.array(stack, dtype=complex)
+        stack.setflags(write=False)
+        bases = [object.__new__(cls) for _ in stack]
+        for basis, mat in zip(bases, stack):
+            object.__setattr__(basis, "matrix", mat)
+        return bases
 
     @property
     def dim(self) -> int:
@@ -176,11 +199,11 @@ def projector_from_basis(basis) -> GrassmannPoint:
 
 
 def _frame(point: GrassmannPoint) -> np.ndarray:
-    """Unitary frame [X1 X2] of the projector: its eigenvectors, range first."""
-    vals, vecs = linalg.hermitian_eig(point.matrix)
-    if vals[point.rank - 1] < 0.5:
+    """Unitary frame [X1 X2] of the (exactly Hermitian) projector: eigenvectors, range first."""
+    vals, vecs = np.linalg.eigh(point.matrix)
+    if vals[-point.rank] < 0.5:
         raise InvalidInputError("projector is rank deficient")
-    return vecs
+    return np.ascontiguousarray(vecs[:, ::-1])
 
 
 def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
@@ -354,8 +377,8 @@ def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
-    x = basis_from_projector(point).matrix
-    y = basis_from_projector(other).matrix
+    x = _frame(point)[:, :point.rank]
+    y = _frame(other)[:, :other.rank]
     angles, _ = _principal_angles(x, y[np.newaxis])
     return angles[0]
 
@@ -377,6 +400,6 @@ def log(point: GrassmannPoint, target: GrassmannPoint,
     m = point.rank
     frame = _frame(point)
     x, x2 = frame[:, :m], frame[:, m:]
-    y = basis_from_projector(target).matrix
+    y = _frame(target)[:, :m]
     _, block = _principal_angles(x, y[np.newaxis], cut_tol, x2)
     return TangentVector(point, _tangent_matrix(x, x2, block))

@@ -38,7 +38,6 @@ from .grassmann import (
     _principal_angles,
     _tangent_block,
     _tangent_matrix,
-    basis_from_projector,
     complete_frame,
     projector_from_basis,
     require_anchored,
@@ -132,7 +131,7 @@ class KarcherProblem:
             if (item.dim, item.rank) != (data[0].dim, data[0].rank):
                 raise InvalidInputError("points live on different Grassmannians")
         self.bases = np.stack([
-            (basis_from_projector(item) if isinstance(item, GrassmannPoint) else item).matrix
+            _frame(item)[:, :item.rank] if isinstance(item, GrassmannPoint) else item.matrix
             for item in data])
         self.bases.setflags(write=False)
         self.size, self.dim, self.rank = self.bases.shape
@@ -161,7 +160,7 @@ def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
     injectivity domain of some datum.
     """
     _require_member(problem, point)
-    return _cost_from_basis(problem, basis_from_projector(point).matrix, cut_tol)
+    return _cost_from_basis(problem, _frame(point)[:, :point.rank], cut_tol)
 
 
 def _cost_from_basis(problem: KarcherProblem, basis: np.ndarray,

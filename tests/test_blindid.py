@@ -29,7 +29,7 @@ from grassmean.exceptions import (
     LineSearchFailedError,
     NotDescentDirectionError,
 )
-from grassmean.grassmann import dist, exp, log, projector_from_basis
+from grassmean.grassmann import StiefelBasis, dist, exp, log, projector_from_basis
 from grassmean.karcher import CGConfig, KarcherProblem, karcher_mean
 
 
@@ -186,8 +186,41 @@ def test_estimate_set_validation():
         EstimateSet(2.0 * np.stack([np.eye(3)]))
     stack = EstimateSet(np.stack([np.eye(3), np.eye(3)]))
     assert stack.count == 2 and stack.n == 3
-    proj = projector_from_basis(stack.column_basis(0, 1))
+    proj = projector_from_basis(StiefelBasis(stack.matrices[0][:, 1:2]))
     assert proj.rank == 1 and abs(proj.matrix[1, 1] - 1.0) < 1e-14
+
+
+def test_estimate_set_checks_columns_as_bases():
+    # a column off by 2e-9 in norm is no basis to STIEFEL_TOL, so the set
+    # rejects it and names it, rather than leave average_karcher to fail on
+    # it without a column
+    rng = np.random.default_rng(12)
+    mats = np.stack([unit_columns(rng.standard_normal((4, 4))
+                                  + 1j * rng.standard_normal((4, 4))) for _ in range(3)])
+    EstimateSet(mats)
+    off = mats.copy()
+    off[1, :, 2] *= 1.0 + 2e-9
+    off[2, :, 0] *= 1.0 + 2e-9
+    with pytest.raises(InvalidInputError, match=r"^estimate 1 column 2 must have unit norm$"):
+        EstimateSet(off)
+    off = mats.copy()
+    off[0, :, 3] *= 1.0 + 1e-12  # within STIEFEL_TOL
+    EstimateSet(off)
+
+
+def test_average_karcher_splits_the_column_stack_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    ref = unit_columns(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    aligned = EstimateSet(np.stack([
+        unit_columns(ref + 0.05 * (rng.standard_normal((5, 5))
+                                   + 1j * rng.standard_normal((5, 5))))
+        for _ in range(10)]))
+    built = []
+    original = StiefelBasis.__post_init__
+    monkeypatch.setattr(StiefelBasis, "__post_init__",
+                        lambda self: built.append(1) or original(self))
+    means = average_karcher(aligned)
+    assert len(means) == 5 and not built
 
 
 def test_align_columns_recovers_a_swap():
@@ -229,8 +262,8 @@ def test_average_karcher_identical_and_midpoint():
     pair = EstimateSet(np.stack([ref, bumped]))
     means = average_karcher(pair)
     for j, point in enumerate(means):
-        a = projector_from_basis(pair.column_basis(0, j))
-        b = projector_from_basis(pair.column_basis(1, j))
+        a = projector_from_basis(StiefelBasis(pair.matrices[0][:, j:j + 1]))
+        b = projector_from_basis(StiefelBasis(pair.matrices[1][:, j:j + 1]))
         midpoint = exp(a, 0.5 * log(a, b))
         assert dist(point, midpoint) < 1e-6
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud, random_unitary
+from grassmean import cli
 from grassmean.cli import main
 from grassmean.files import read_subspace_file, write_subspace_file
 from grassmean.grassmann import basis_from_projector
@@ -124,6 +125,20 @@ def test_distance_output(tmp_path, capsys):
     assert abs(float(lines[0].split("= ")[1]) - np.sqrt(2.0) * 0.3) < 1e-10
     angles = [float(v) for v in lines[1].split("= ")[1].split()]
     assert len(angles) == 1 and abs(angles[0] - 0.3) < 1e-10
+
+
+@pytest.mark.parametrize("command", ["karcher-mean", "distance"])
+def test_each_run_reads_its_file_once(tmp_path, capsys, monkeypatch, command):
+    # the reader is looked up as cli.read_subspace_file, once per run; the
+    # benchmark's span tracer wraps that attribute to time the file layer
+    calls = []
+    original = cli.read_subspace_file
+    monkeypatch.setattr(cli, "read_subspace_file",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    path = cp1_file(tmp_path, 0.3)
+    extra = ["--out", str(tmp_path / "mean.json")] if command == "karcher-mean" else []
+    assert main([command, str(path)] + extra) == 0
+    assert len(calls) == 1
 
 
 def test_distance_needs_exactly_two(tmp_path, capsys):

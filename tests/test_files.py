@@ -57,6 +57,33 @@ def test_write_rejects_empty_and_ragged(tmp_path):
         write_subspace_file(path, [np.eye(3)[:, :2], np.eye(4)[:, :2]])
 
 
+def test_roundtrip_of_a_thousand_bases_is_bit_exact(tmp_path):
+    # the size of the cli-file-mean benchmark file: 1000 lines in C^8
+    path = tmp_path / "bases.json"
+    bases = random_bases(8, 1, 1000, seed=5)
+    write_subspace_file(path, bases)
+    back = read_subspace_file(path)
+    assert len(back) == 1000
+    for orig, loaded in zip(bases, back):
+        assert isinstance(loaded, StiefelBasis)
+        assert loaded.matrix.tobytes() == orig.tobytes()
+
+
+def test_read_validates_each_basis_once(tmp_path, monkeypatch):
+    # the reader checks the whole stack in one batch; no basis is built one
+    # at a time through the validating constructor
+    path = tmp_path / "bases.json"
+    write_subspace_file(path, random_bases(4, 2, 200, seed=6))
+    built = []
+    original = StiefelBasis.__post_init__
+    monkeypatch.setattr(StiefelBasis, "__post_init__",
+                        lambda self: built.append(1) or original(self))
+    back = read_subspace_file(path)
+    assert len(back) == 200 and not built
+    for basis in back:
+        assert isinstance(basis, StiefelBasis) and not basis.matrix.flags.writeable
+
+
 def test_read_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"version": "1",')
@@ -138,6 +165,43 @@ def test_read_validates_entries(tmp_path):
     with pytest.raises(SubspaceFileError, match="list of 2 entries"):
         read_subspace_file(path)
 
+    # with several bad bases the lowest is named, with the full entry location
+    raws = [entries(np.eye(2, dtype=complex)) for _ in range(4)]
+    raws[1][0][1] = {"re": "0", "im": 0.0}
+    raws[3][0][0] = {"re": 1.0, "im": None}
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError,
+                       match=r"^bases\[1\]\[0\]\[1\]\.re must be a number, got '0'$"):
+        read_subspace_file(path)
+    raws[1][0][1] = {"im": 0.0}
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[1\]\[0\]\[1\]\.re is missing$"):
+        read_subspace_file(path)
+    raws[1][0][1] = [0.0, 0.0]
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError,
+                       match=r"^bases\[1\]\[0\]\[1\] must be an object with 're' and 'im'$"):
+        read_subspace_file(path)
+    raws[1][0][1] = {"re": 0.0, "im": True}
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError,
+                       match=r"^bases\[1\]\[0\]\[1\]\.im must be a number, got True$"):
+        read_subspace_file(path)
+    raws[1][0][1] = {"re": 0.0, "im": 0.0}
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[3\]\[0\]\[0\]\.im must be a number"):
+        read_subspace_file(path)
+
+    # structure faults are reported before non-finite entries and
+    # orthonormality, whatever their positions
+    raws = [entries(np.eye(2, dtype=complex)) for _ in range(3)]
+    raws[0][0][0] = {"re": float("nan"), "im": 0.0}
+    raws[1][1][1] = {"re": 3.0, "im": 0.0}
+    raws[2] = raws[2][:1]
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[2\] must be a list of 2 rows$"):
+        read_subspace_file(path)
+
 
 def test_read_rejects_non_finite(tmp_path):
     path = tmp_path / "f.json"
@@ -145,6 +209,15 @@ def test_read_rejects_non_finite(tmp_path):
     raw[0][0] = {"re": float("nan"), "im": 0.0}
     write_payload(path, payload_for([raw]))
     with pytest.raises(SubspaceFileError, match="non-finite"):
+        read_subspace_file(path)
+
+    # the lowest non-finite basis is named, ahead of an earlier defect
+    raws = [entries(np.eye(2, dtype=complex)) for _ in range(4)]
+    raws[0][1][1] = {"re": 3.0, "im": 0.0}
+    raws[2][1][0] = {"re": 0.0, "im": float("inf")}
+    raws[3][0][1] = {"re": float("-inf"), "im": 0.0}
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[2\] contains non-finite entries$"):
         read_subspace_file(path)
 
 
@@ -178,6 +251,24 @@ def test_orthonormality_defect_ladder(tmp_path):
     flat[:, 1] = q[:, 0]
     write_payload(path, payload_for([entries(flat)]))
     with pytest.raises(SubspaceFileError, match="rank deficient"):
+        read_subspace_file(path, repair=True)
+
+    # several bad bases: the lowest is named, and repair polishes only the
+    # flagged bases, leaving every other basis bit-identical
+    good = random_bases(4, 2, 3, seed=3)
+    mats = [good[0], skewed, good[1], q + 1e-9 * np.ones_like(q), 2.0 * q, good[2]]
+    write_payload(path, payload_for([entries(mat) for mat in mats]))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[1\] is not orthonormal"):
+        read_subspace_file(path)
+    back = [b.matrix for b in read_subspace_file(path, repair=True)]
+    for k in (0, 2, 5):
+        assert back[k].tobytes() == mats[k].tobytes()
+    for k in (1, 3, 4):
+        assert np.linalg.norm(back[k].conj().T @ back[k] - np.eye(2)) < 1e-12
+        assert back[k].tobytes() != mats[k].tobytes()
+    np.testing.assert_allclose(back[4], q, rtol=0, atol=1e-14)  # the polar factor of 2q
+    write_payload(path, payload_for([entries(mat) for mat in mats[:4] + [flat, flat]]))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[4\] is rank deficient"):
         read_subspace_file(path, repair=True)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grassmean.karcher as karcher
+from grassmean import linalg
 from conftest import basis_cloud, random_cloud, random_point, random_tangent, random_unitary
 from grassmean.exceptions import (
     CutLocusError,
@@ -99,6 +100,19 @@ def test_solver_builds_projector_objects_only_for_the_result(monkeypatch, m, ste
         assert built.get("TangentVector", 0) == 0
         assert built.get("GrassmannPoint", 0) <= 2
     assert trace.converged and trace.iterations >= 3
+
+
+def test_projector_data_are_not_validated_again(monkeypatch):
+    # the points were validated when built; turning them into bases and
+    # evaluating the cost must not check their Hermitian symmetry again
+    center, points = random_cloud(5, 2, 10, 0.5, np.random.default_rng(34))
+    calls = []
+    original = linalg.require_hermitian
+    monkeypatch.setattr(linalg, "require_hermitian",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    problem = KarcherProblem(points)
+    assert karcher_cost(problem, center) > 0.0
+    assert not calls
 
 
 @pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp")])

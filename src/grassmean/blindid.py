@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     AmbiguousModelWarning,
@@ -171,6 +170,7 @@ def _takagi(sym: np.ndarray, group_tol: float = 1e-8):
     if vals[zero] <= group_tol * scale:
         # the null space has no phase to merge; any unitary block will do
         blocks[zero:, zero:] = np.eye(len(vals) - zero)
+    import scipy.linalg  # the package's one scipy call, loaded on first use
     return vals, left @ scipy.linalg.sqrtm(blocks)
 
 

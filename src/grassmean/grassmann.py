@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .exceptions import CutLocusError, InvalidInputError
@@ -220,16 +219,12 @@ def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
 def complete_frame(basis) -> np.ndarray:
     """Extend an orthonormal basis to a full n-by-n unitary.
 
-    The complement columns come from a pivoted QR of the complement projector,
-    so the first m columns of the result are the input basis unchanged.
+    The complement columns are the last n - m columns of the basis's complete
+    QR factor, which are orthogonal to its span; the first m columns of the
+    result are the input basis unchanged.
     """
     mat = linalg.as_matrix(basis, "basis")
-    n, m = mat.shape
-    if m == n:
-        return mat.copy()
-    comp = np.eye(n) - mat @ mat.conj().T
-    q, _, _ = scipy.linalg.qr(comp, pivoting=True)
-    return np.hstack([mat, q[:, : n - m]])
+    return np.hstack([mat, np.linalg.qr(mat, mode="complete")[0][:, mat.shape[1]:]])
 
 
 def tangent_project(point: GrassmannPoint, value) -> TangentVector:

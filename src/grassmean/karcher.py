@@ -54,6 +54,7 @@ NEWTON_STEP_CAP = 1.0
 CURVATURE_TOL = 1e-14
 NEWTON_DOMAIN_TOL = 1e-12
 INIT_GAP_TOL = 1e-8
+_DATA_TYPES = (StiefelBasis, GrassmannPoint)
 
 
 @dataclass(frozen=True)
@@ -118,21 +119,22 @@ class KarcherProblem:
 
     ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
     validated when it was built; a projector is reduced to a basis here, once.
+    Types and shapes are checked as sets, not item by item.
     """
 
     def __init__(self, data):
         data = tuple(data)
         if not data:
             raise InvalidInputError("problem needs at least one point")
-        for item in data:
-            if not isinstance(item, (StiefelBasis, GrassmannPoint)):
-                raise InvalidInputError(
-                    f"problem data must be StiefelBasis or GrassmannPoint, got {type(item).__name__}")
-            if (item.dim, item.rank) != (data[0].dim, data[0].rank):
-                raise InvalidInputError("points live on different Grassmannians")
-        self.bases = np.stack([
-            _frame(item)[:, :item.rank] if isinstance(item, GrassmannPoint) else item.matrix
-            for item in data])
+        if not all(issubclass(kind, _DATA_TYPES) for kind in set(map(type, data))):
+            stray = next(item for item in data if not isinstance(item, _DATA_TYPES))
+            raise InvalidInputError(
+                f"problem data must be StiefelBasis or GrassmannPoint, got {type(stray).__name__}")
+        mats = [_frame(item)[:, :item.rank] if isinstance(item, GrassmannPoint) else item.matrix
+                for item in data]
+        if len({mat.shape for mat in mats}) > 1:
+            raise InvalidInputError("points live on different Grassmannians")
+        self.bases = np.stack(mats)
         self.bases.setflags(write=False)
         self.size, self.dim, self.rank = self.bases.shape
 
@@ -304,32 +306,35 @@ def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
     return num / den, False
 
 
-def _anchor_basis(problem: KarcherProblem) -> np.ndarray:
-    """Basis of the dominant eigenspace of the averaged data projectors.
+def _anchor_frame(problem: KarcherProblem) -> np.ndarray:
+    """Unitary frame whose first m columns span the Euclidean anchor.
 
-    The average is one GEMM on the stack. Falls back to the first datum when
-    the spectral gap at the cut is below INIT_GAP_TOL (ill-defined eigenspace).
+    The anchor is the dominant eigenspace of the averaged data projectors, an
+    average that is one GEMM on the stack; its descending eigenvectors are
+    the frame. With one datum, with m = n, or when the spectral gap at the cut
+    is below INIT_GAP_TOL (ill-defined eigenspace), the frame is the first
+    datum's basis completed by ``complete_frame``.
     """
     count, n, m = problem.bases.shape
-    if count == 1 or m == n:
-        return problem.bases[0]
-    stacked = problem.bases.transpose(1, 0, 2).reshape(n, count * m)
-    vals, vecs = linalg.hermitian_eig(stacked @ stacked.conj().T / count)
-    if vals[m - 1] - vals[m] < INIT_GAP_TOL:
-        return problem.bases[0]
-    return vecs[:, :m]
+    if count > 1 and m < n:
+        stacked = problem.bases.transpose(1, 0, 2).reshape(n, count * m)
+        vals, vecs = linalg.hermitian_eig(stacked @ stacked.conj().T / count)
+        if vals[m - 1] - vals[m] >= INIT_GAP_TOL:
+            return vecs
+    return complete_frame(problem.bases[0])
 
 
 def default_init(problem: KarcherProblem) -> GrassmannPoint:
-    """Euclidean anchor: the span of ``_anchor_basis``."""
-    return projector_from_basis(_anchor_basis(problem))
+    """Euclidean anchor: the span of the first m columns of ``_anchor_frame``."""
+    return projector_from_basis(_anchor_frame(problem)[:, :problem.rank])
 
 
 def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                  config: CGConfig = None, callback=None):
     """Minimize the Karcher cost by conjugate gradient on the Grassmannian.
 
-    ``init`` (a GrassmannPoint) defaults to the Euclidean anchor of the data.
+    ``init`` (a GrassmannPoint) defaults to the Euclidean anchor of the data,
+    and then the solver starts from the anchor's frame (``_anchor_frame``).
     ``callback(iteration, point, grad, direction)``, if given, is called after
     the initial evaluation and after every accepted update. Returns ``(point,
     trace)``. Unrecoverable failures (cut locus at an iterate, exhausted line
@@ -347,7 +352,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     n, m = problem.dim, problem.rank
     if config.step_rule == "newton_cp" and m != 1:
         raise InvalidInputError("the newton_cp step rule requires rank-one subspaces")
-    frame = complete_frame(_anchor_basis(problem)) if init is None else _frame_of(problem, init)
+    frame = _anchor_frame(problem) if init is None else _frame_of(problem, init)
     period = config.restart_period
     if period is None:
         period = max(1, 2 * m * (n - m) - 1)

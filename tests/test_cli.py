@@ -1,6 +1,12 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grassmean
 from conftest import random_cloud, random_unitary
 from grassmean import cli
 from grassmean.cli import main
@@ -209,3 +215,34 @@ def test_same_seed_repeats_byte_identical(tmp_path):
                      "--seed", "7", "--out", str(out)]) == 0
         rows.append(out.read_bytes())
     assert rows[0] == rows[1]
+
+
+_SCIPY_FREE_RUN = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import grassmean, grassmean.cli
+    cloud, pair, out = sys.argv[1:]
+    assert grassmean.cli.main(["karcher-mean", cloud, "--out", out]) == 0
+    assert grassmean.cli.main(["distance", pair]) == 0
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, loaded
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    sym = z + z.T
+    vals, unitary = grassmean.takagi(sym)
+    assert np.linalg.norm(unitary @ np.diag(vals) @ unitary.T - sym) < 1e-12
+    assert np.linalg.norm(unitary.conj().T @ unitary - np.eye(4)) < 1e-12
+    assert "scipy.linalg" in sys.modules
+""")
+
+
+def test_import_and_file_commands_leave_scipy_unloaded(tmp_path):
+    # a fresh interpreter: the package, karcher-mean and distance are
+    # numpy-only, and the Takagi step loads scipy when first called
+    cloud, pair = cloud_file(tmp_path), cp1_file(tmp_path, 0.3)
+    src = Path(grassmean.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n"
+         + _SCIPY_FREE_RUN, str(cloud), str(pair), str(tmp_path / "mean.json")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -98,6 +98,21 @@ def test_complete_frame_is_unitary_and_keeps_basis():
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(n)) < 1e-12
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_complete_frame_keeps_the_basis_bits_at_every_rank(data):
+    # every 1 <= m <= n up to n = 64: the input columns come back bit for
+    # bit, and the completed frame is unitary
+    n = data.draw(st.integers(1, 64), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    x = random_unitary(n, rng)[:, :m]
+    frame = complete_frame(x)
+    assert frame.shape == (n, n)
+    assert np.array_equal(frame[:, :m], x)
+    assert np.linalg.norm(frame.conj().T @ frame - np.eye(n)) < 1e-12
+
+
 def test_tangent_projection_is_idempotent_involution():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -16,6 +16,7 @@ from grassmean.grassmann import (
     StiefelBasis,
     TangentVector,
     basis_from_projector,
+    complete_frame,
     dist,
     exp,
     geodesic,
@@ -527,6 +528,65 @@ def test_default_init_falls_back_on_degenerate_gap():
     problem = KarcherProblem((p1, p2))
     init = default_init(problem)
     assert np.linalg.norm(init.matrix - p1.matrix) == 0.0
+
+
+def _bloch_line(vec):
+    """The line in C^2 whose projector (I + v . sigma) / 2 has Bloch vector v."""
+    x, y, z = vec / np.linalg.norm(vec)
+    return GrassmannPoint(0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]))
+
+
+def _fallback_problem(case):
+    rng = np.random.default_rng(31)
+    if case == "one datum":
+        return KarcherProblem([StiefelBasis(random_unitary(5, rng)[:, :2])])
+    if case == "m = n":
+        return KarcherProblem([StiefelBasis(random_unitary(3, rng)) for _ in range(4)])
+    # four lines whose Bloch vectors sum to zero average to I/2, which has no
+    # eigenvalue gap; no two are antipodal, so the start is inside the domain
+    w = -np.array([1.0 + np.cos(1.75), np.sin(1.75), 0.0])
+    h = np.sqrt(1.0 - w @ w / 4.0)
+    vecs = [np.array([1.0, 0.0, 0.0]), np.array([np.cos(1.75), np.sin(1.75), 0.0]),
+            w / 2.0 + [0.0, 0.0, h], w / 2.0 - [0.0, 0.0, h]]
+    return KarcherProblem([_bloch_line(v) for v in vecs])
+
+
+@pytest.mark.parametrize("case", ["one datum", "m = n", "degenerate gap"])
+def test_fallback_starts_complete_the_first_datum(case, monkeypatch):
+    problem = _fallback_problem(case)
+    completed = []
+
+    def counting(basis):
+        completed.append(np.array(basis))
+        return complete_frame(basis)
+
+    monkeypatch.setattr(karcher, "complete_frame", counting)
+    point, trace = karcher_mean(problem)
+    assert len(completed) == 1
+    assert np.array_equal(completed[0], problem.bases[0])
+    assert trace.status == "converged"
+    assert trace.iterates[0].direction_rule == "init"
+    if case == "degenerate gap":
+        # the first datum is not stationary, so the solver has to move
+        assert trace.iterations >= 1
+        assert karcher_gradient(problem, point).norm() < 1e-7
+    else:
+        # one datum is its own mean, and Gr(n, n) is a single point
+        assert trace.iterations == 0
+        assert np.linalg.norm(point.matrix - projector_from_basis(problem.bases[0]).matrix) < 1e-14
+
+
+def test_gapped_start_is_the_anchor_eigenvector_frame(monkeypatch):
+    _, problem = ball_problem(6, 2, 8, 0.3, seed=32)
+    frame = karcher._anchor_frame(problem)
+    assert np.linalg.norm(frame.conj().T @ frame - np.eye(6)) < 1e-12
+    assert np.array_equal(projector_from_basis(frame[:, :2]).matrix,
+                          default_init(problem).matrix)
+    monkeypatch.setattr(karcher, "complete_frame", None)  # must not be called
+    _, trace = karcher_mean(problem)
+    assert trace.converged
+    assert trace.iterates[0].cost == pytest.approx(
+        karcher_cost(problem, default_init(problem)), rel=1e-12)
 
 
 def test_cut_locus_failure_attaches_trace():

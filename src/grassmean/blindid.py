@@ -30,7 +30,7 @@ from .exceptions import (
     IllConditionedError,
     InvalidInputError,
 )
-from .grassmann import STIEFEL_TOL, StiefelBasis, _frame, _stiefel_defects
+from .grassmann import STIEFEL_TOL, _frame, _stiefel_defects
 from .karcher import CGConfig, KarcherProblem, karcher_mean
 from . import linalg
 
@@ -242,40 +242,39 @@ def align_columns(estimates: EstimateSet) -> EstimateSet:
 
     The permutation greedily maximizes the summed squared overlaps
     |<column, reference column>|^2, breaking ties toward the lowest index.
+    All estimates are matched together, one greedy round per column, and
+    the permuted set is not checked again.
     """
-    ref = estimates.matrices[0]
-    n = estimates.n
-    aligned = np.empty_like(estimates.matrices)
-    for i in range(estimates.count):
-        est = estimates.matrices[i]
-        overlap = np.abs(ref.conj().T @ est) ** 2  # overlap[k, j] = |<ref_k, est_j>|^2
-        assignment = np.full(n, -1)
-        free = overlap.copy()
-        for _ in range(n):
-            k, j = np.unravel_index(np.argmax(free), free.shape)
-            assignment[k] = j
-            free[k, :] = -1.0
-            free[:, j] = -1.0
-        aligned[i] = est[:, assignment]
-    return EstimateSet(aligned)
+    mats, n = estimates.matrices, estimates.n
+    free = np.abs(mats[0].conj().T @ mats) ** 2  # free[i, k, j] = |<ref_k, est_ij>|^2
+    assignment = np.empty((estimates.count, n), dtype=int)
+    every = np.arange(estimates.count)
+    for _ in range(n):
+        k, j = np.divmod(free.reshape(estimates.count, -1).argmax(axis=1), n)
+        assignment[every, k] = j
+        free[every, k, :] = -1.0
+        free[every, :, j] = -1.0
+    aligned = object.__new__(EstimateSet)
+    object.__setattr__(aligned, "matrices", np.take_along_axis(mats, assignment[:, None, :], 2))
+    aligned.matrices.setflags(write=False)
+    return aligned
 
 
 def average_karcher(aligned: EstimateSet, config: CGConfig = None) -> list:
     """Column-wise Karcher means of the aligned estimates on projective space.
 
-    Returns one rank-one GrassmannPoint per column. A cut-locus failure is
-    re-raised with the offending column index attached.
+    Returns one rank-one GrassmannPoint per column. All columns are solved in
+    one batched ``karcher_mean`` call; a cut-locus failure is re-raised with
+    the lowest failing column's index attached.
     """
     if config is None:
         config = CGConfig(step_rule="newton_cp")
-    columns = StiefelBasis._split(aligned.matrices.transpose(0, 2, 1).reshape(-1, aligned.n, 1))
-    means = []
-    for j in range(aligned.n):
-        try:
-            point, _ = karcher_mean(KarcherProblem(columns[j::aligned.n]), config=config)
-        except CutLocusError as err:
-            raise CutLocusError(f"column {j}: {err}", index=err.index, column=j) from err
-        means.append(point)
+    columns = np.ascontiguousarray(aligned.matrices.transpose(2, 0, 1)[..., np.newaxis])
+    try:
+        means, _ = karcher_mean(KarcherProblem(_stack=columns), config=config)
+    except CutLocusError as err:
+        raise CutLocusError(f"column {err.problem}: {err}", index=err.index,
+                            column=err.problem) from err
     return means
 
 

@@ -28,7 +28,8 @@ class CutLocusError(GrassmeanError):
 
     status = "cut_locus"
 
-    def __init__(self, message, index=None, column=None):
+    def __init__(self, message="a datum is at the cut locus of the evaluation point",
+                 index=None, column=None):
         super().__init__(message)
         self.index = index
         self.column = column

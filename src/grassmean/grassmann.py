@@ -193,8 +193,7 @@ def projector_from_basis(basis) -> GrassmannPoint:
     """Orthogonal projector onto the column span of an orthonormal basis."""
     if not isinstance(basis, StiefelBasis):
         basis = StiefelBasis(basis)
-    mat = basis.matrix @ basis.matrix.conj().T
-    return GrassmannPoint(mat, basis.rank)
+    return _point(basis.matrix, basis.rank)
 
 
 def _frame(point: GrassmannPoint) -> np.ndarray:
@@ -206,9 +205,17 @@ def _frame(point: GrassmannPoint) -> np.ndarray:
 
 
 def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
-    """The span of the first m columns of a frame, as a projector."""
+    """The span of the first m columns of an orthonormal ``frame``, as a projector.
+
+    It is made exactly Hermitian, as GrassmannPoint makes it, and not checked.
+    """
     x1 = frame[:, :m]
-    return GrassmannPoint(x1 @ x1.conj().T, m)
+    proj = x1 @ x1.conj().T
+    point = object.__new__(GrassmannPoint)
+    object.__setattr__(point, "matrix", 0.5 * (proj + proj.conj().T))
+    object.__setattr__(point, "rank", m)
+    point.matrix.setflags(write=False)
+    return point
 
 
 def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
@@ -265,17 +272,19 @@ def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
     and X2(t) = X2 - X1 U sin(tS) V^H + X2 V (cos tS - I) V^H; the moved
     frame is e^{t[H,P]} [X1 X2] for the tangent H with block D. Returns a
     function of t giving X1(t), or the whole frame when ``full`` is set.
+    Leading axes are a batch, and t is a scalar or one value per batch entry.
     """
-    x1, x2 = frame[:, :m], frame[:, m:]
+    x1, x2 = frame[..., :m], frame[..., m:]
     u, sigma, vh = np.linalg.svd(block, full_matrices=False)
-    x1u, x2v = x1 @ u, x2 @ vh.conj().T
+    x1u, x2v, uh = x1 @ u, x2 @ vh.conj().swapaxes(-1, -2), u.conj().swapaxes(-1, -2)
 
-    def at(t: float, full: bool = False) -> np.ndarray:
-        bend, sine = np.cos(t * sigma) - 1.0, np.sin(t * sigma)
-        head = x1 + (x1u * bend + x2v * sine) @ u.conj().T
+    def at(t, full: bool = False) -> np.ndarray:
+        angle = np.asarray(t)[..., np.newaxis] * sigma
+        bend, sine = (np.cos(angle) - 1.0)[..., np.newaxis, :], np.sin(angle)[..., np.newaxis, :]
+        head = x1 + (x1u * bend + x2v * sine) @ uh
         if not full:
             return head
-        return np.hstack([head, x2 + (x2v * bend - x1u * sine) @ vh])
+        return np.concatenate([head, x2 + (x2v * bend - x1u * sine) @ vh], axis=-1)
 
     return at
 
@@ -325,48 +334,51 @@ def _overlap_svd(square: np.ndarray, vectors: bool):
     """
     if square.shape[-1] > 1:
         return np.linalg.svd(square, compute_uv=vectors)
-    cos = np.abs(square[:, :, 0])
+    cos = np.abs(square[..., 0])
     if not vectors:
         return cos
-    return square / np.maximum(cos, _TINY)[:, :, np.newaxis], cos, np.ones_like(square)
+    return square / np.maximum(cos, _TINY)[..., np.newaxis], cos, np.ones_like(square)
 
 
 def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
                       x2: np.ndarray = None):
     """Principal angles between span(x) and each span(ys[i]), and their logs.
 
-    ``x`` is an orthonormal n-by-m basis and ``ys`` a stack (N, n, m) of them.
-    One GEMM forms every overlap Y_i^H X (and Y_i^H X2 when the complement
-    ``x2`` is given) and one batched SVD factors them as L C R^H. Returns the
-    angles arccos(C), shape (N, m), ascending per datum, and, when ``x2`` is
-    given, the sum over i of the log blocks R diag(theta / sin theta) L^H
+    ``x`` is an orthonormal n-by-m basis and ``ys`` a stack (N, n, m) of them;
+    leading axes of both are a batch of independent problems. One GEMM forms
+    every overlap Y_i^H X (and Y_i^H X2 when the complement ``x2`` is given)
+    and one batched SVD factors them as L C R^H. Returns the angles
+    arccos(C), shape (N, m), ascending per datum; when ``x2`` is given (else
+    None), the sum over i of the log blocks R diag(theta / sin theta) L^H
     Y_i^H X2, an m-by-(n-m) matrix: the top-right block, in the frame [X X2],
-    of sum_i log_X(span Y_i) (Edelman, Arias & Smith 1998). A datum whose
-    smallest squared cosine is at most ``cut_tol`` raises CutLocusError with
-    the index of the worst such datum; ``None`` skips the check.
+    of sum_i log_X(span Y_i) (Edelman, Arias & Smith 1998); and, per problem,
+    the index of the worst datum whose smallest squared cosine is at most
+    ``cut_tol`` or -1 where none is, or a plain -1 when no problem has one
+    (always when ``cut_tol`` is None).
     """
-    count, n, m = ys.shape
-    cols = x if x2 is None else np.hstack([x, x2])
-    over = (ys.conj().transpose(0, 2, 1).reshape(count * m, n) @ cols).reshape(count, m, -1)
+    *batch, count, n, m = ys.shape
+    cols = x if x2 is None else np.concatenate([x, x2], axis=-1)
+    over = (ys.conj().swapaxes(-1, -2).reshape(*batch, count * m, n) @ cols).reshape(
+        *batch, count, m, -1)
     if x2 is None:
         cos = _overlap_svd(over, False)
     else:
-        left, cos, right_h = _overlap_svd(over[:, :, :m], True)
+        left, cos, right_h = _overlap_svd(over[..., :m], True)
     cos = np.minimum(cos, 1.0)
+    cut = -1
     if cut_tol is not None:
-        low = cos[:, -1] ** 2
+        low = cos[..., -1] ** 2
         if low.min() <= cut_tol:
-            raise CutLocusError("a datum is at the cut locus of the evaluation point",
-                                index=int(low.argmin()))
+            cut = np.where(low.min(axis=-1) <= cut_tol, low.argmin(axis=-1), -1)
     angles = np.arccos(cos)
     if x2 is None:
-        return angles, None
+        return angles, None, cut
     floored = np.maximum(angles, _TINY)  # theta / sin(theta) -> 1 at theta = 0
-    right = right_h.conj().transpose(0, 2, 1) * (floored / np.sin(floored))[:, np.newaxis, :]
-    coef = right @ left.conj().transpose(0, 2, 1)  # (N, m, m)
+    right = right_h.conj().swapaxes(-1, -2) * (floored / np.sin(floored))[..., np.newaxis, :]
+    coef = right @ left.conj().swapaxes(-1, -2)  # (N, m, m)
     # sum_i coef_i (Y_i^H X2) as one GEMM over the stacked (datum, column) index
-    stacked = coef.transpose(1, 0, 2).reshape(m, count * m)
-    return angles, stacked @ over[:, :, m:].reshape(count * m, -1)
+    stacked = coef.swapaxes(-3, -2).reshape(*batch, m, count * m)
+    return angles, stacked @ over[..., m:].reshape(*batch, count * m, -1), cut
 
 
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
@@ -374,8 +386,7 @@ def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray
     _require_same_space(point, other)
     x = _frame(point)[:, :point.rank]
     y = _frame(other)[:, :other.rank]
-    angles, _ = _principal_angles(x, y[np.newaxis])
-    return angles[0]
+    return _principal_angles(x, y[np.newaxis])[0][0]
 
 
 def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
@@ -396,5 +407,7 @@ def log(point: GrassmannPoint, target: GrassmannPoint,
     frame = _frame(point)
     x, x2 = frame[:, :m], frame[:, m:]
     y = _frame(target)[:, :m]
-    _, block = _principal_angles(x, y[np.newaxis], cut_tol, x2)
+    _, block, cut = _principal_angles(x, y[np.newaxis], cut_tol, x2)
+    if cut >= 0:
+        raise CutLocusError(index=int(cut))
     return TangentVector(point, _tangent_matrix(x, x2, block))

@@ -23,6 +23,7 @@ from .exceptions import (
     CutLocusError,
     DegenerateCurvatureError,
     DomainError,
+    GrassmeanError,
     InvalidInputError,
     LineSearchFailedError,
     NotDescentDirectionError,
@@ -42,7 +43,6 @@ from .grassmann import (
     projector_from_basis,
     require_anchored,
 )
-from . import linalg
 
 DIRECTION_RULES = ("hs", "pr", "fr", "dy", "star")
 STEP_RULES = ("backtracking", "newton_cp")
@@ -54,6 +54,7 @@ NEWTON_STEP_CAP = 1.0
 CURVATURE_TOL = 1e-14
 NEWTON_DOMAIN_TOL = 1e-12
 INIT_GAP_TOL = 1e-8
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 _DATA_TYPES = (StiefelBasis, GrassmannPoint)
 
 
@@ -114,44 +115,74 @@ class CGTrace:
         return self.iterates[-1].iteration if self.iterates else 0
 
 
+class BatchTrace(tuple):
+    """The CGTrace of each problem of a batched solve, in problem order."""
+
+    @property
+    def status(self) -> str:
+        """The status of the first problem that did not converge, else "converged"."""
+        return next((trace.status for trace in self if not trace.converged), "converged")
+
+    @property
+    def iterations(self) -> int:
+        return sum(trace.iterations for trace in self)
+
+
 class KarcherProblem:
     """A fixed collection of subspaces to be averaged, as one (N, n, m) stack.
 
     ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
-    validated when it was built; a projector is reduced to a basis here, once.
-    Types and shapes are checked as sets, not item by item.
+    validated when it was built. Types and shapes are checked as sets, and
+    projectors are reduced to bases by one batched ``eigh``. ``_stack`` is an
+    already-checked stack instead: (N, n, m), or (B, N, n, m) for a batch of B
+    problems that ``karcher_mean`` solves together.
     """
 
-    def __init__(self, data):
-        data = tuple(data)
-        if not data:
-            raise InvalidInputError("problem needs at least one point")
-        if not all(issubclass(kind, _DATA_TYPES) for kind in set(map(type, data))):
-            stray = next(item for item in data if not isinstance(item, _DATA_TYPES))
-            raise InvalidInputError(
-                f"problem data must be StiefelBasis or GrassmannPoint, got {type(stray).__name__}")
-        mats = [_frame(item)[:, :item.rank] if isinstance(item, GrassmannPoint) else item.matrix
-                for item in data]
-        if len({mat.shape for mat in mats}) > 1:
-            raise InvalidInputError("points live on different Grassmannians")
-        self.bases = np.stack(mats)
-        self.bases.setflags(write=False)
-        self.size, self.dim, self.rank = self.bases.shape
+    def __init__(self, data=(), *, _stack=None):
+        self.bases = _stack_of(tuple(data)) if _stack is None else _stack
+        self.size, self.dim, self.rank = self.bases.shape[-3:]
 
 
-def _require_member(problem: KarcherProblem, point: GrassmannPoint) -> None:
-    if point.dim != problem.dim or point.rank != problem.rank:
-        raise InvalidInputError("point does not live on the problem's Grassmannian")
+def _stack_of(data: tuple) -> np.ndarray:
+    if not data:
+        raise InvalidInputError("problem needs at least one point")
+    if not all(issubclass(kind, _DATA_TYPES) for kind in set(map(type, data))):
+        stray = next(item for item in data if not isinstance(item, _DATA_TYPES))
+        raise InvalidInputError(
+            f"problem data must be StiefelBasis or GrassmannPoint, got {type(stray).__name__}")
+    mats = [item.matrix for item in data]
+    points = [k for k, item in enumerate(data) if isinstance(item, GrassmannPoint)]
+    if len({(mats[k].shape, data[k].rank) for k in points}) > 1:
+        raise InvalidInputError("points live on different Grassmannians")
+    if points:
+        n, m = mats[points[0]].shape[0], data[points[0]].rank
+        vals, vecs = np.linalg.eigh(np.array([mats[k] for k in points]))
+        if np.any(vals[:, n - m] < 0.5):
+            raise InvalidInputError("projector is rank deficient")
+        for k, basis in zip(points, vecs[:, :, ::-1][:, :, :m]):
+            mats[k] = basis
+    if len({mat.shape for mat in mats}) > 1:
+        raise InvalidInputError("points live on different Grassmannians")
+    stack = np.array(mats)
+    stack.setflags(write=False)
+    return stack
 
 
 def _frame_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
-    _require_member(problem, point)
+    if point.dim != problem.dim or point.rank != problem.rank:
+        raise InvalidInputError("point does not live on the problem's Grassmannian")
     return _frame(point)
 
 
-def _metric(first: np.ndarray, second: np.ndarray) -> float:
-    """Inner product of two tangent blocks in a common frame: 2 Re<B1, B2>."""
-    return 2.0 * float(np.vdot(first, second).real)
+def _metric(first: np.ndarray, second: np.ndarray):
+    """Inner product of tangent blocks in a common frame, 2 Re<B1, B2>, per leading index."""
+    flat = first.shape[:-2] + (-1,)
+    return np.vecdot(first.reshape(flat), second.reshape(flat)).real * 2.0
+
+
+def _cost(angles: np.ndarray) -> np.ndarray:
+    """Karcher cost from the (..., N, m) principal angles to the data."""
+    return 2.0 * (angles * angles).sum(axis=(-2, -1)) / angles.shape[-2]
 
 
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
@@ -161,38 +192,35 @@ def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
     Raises CutLocusError (with the datum index) if ``point`` leaves the
     injectivity domain of some datum.
     """
-    _require_member(problem, point)
-    return _cost_from_basis(problem, _frame(point)[:, :point.rank], cut_tol)
+    angles, _, cut = _principal_angles(_frame_of(problem, point)[:, :point.rank],
+                                       problem.bases, cut_tol)
+    if cut >= 0:
+        raise CutLocusError(index=int(cut))
+    return float(_cost(angles))
 
 
-def _cost_from_basis(problem: KarcherProblem, basis: np.ndarray,
-                     cut_tol: float = CUT_LOCUS_TOL) -> float:
-    """Karcher cost of the span of an orthonormal n-by-m ``basis``."""
-    angles, _ = _principal_angles(basis, problem.bases, cut_tol)
-    return float(2.0 * np.sum(angles * angles)) / problem.size
-
-
-def _evaluate(problem: KarcherProblem, frame: np.ndarray,
-              cut_tol: float = CUT_LOCUS_TOL):
-    """Principal angles, cost and residual block at ``frame``, from one kernel call.
+def _evaluate(bases: np.ndarray, frame: np.ndarray, cut_tol: float = CUT_LOCUS_TOL):
+    """Angles, cost, residual block and cut-locus index at ``frame``, from one kernel call.
 
     The residual, minus the summed data logs, is N/2 times the gradient of
     karcher_cost. The solver searches along it, so the step 1/N is the
     Karcher fixed-point step (a move by the mean log) and step 1 is exact for
     one datum.
     """
-    m = problem.rank
-    angles, block = _principal_angles(frame[:, :m], problem.bases, cut_tol, frame[:, m:])
-    return angles, float(2.0 * np.sum(angles * angles)) / problem.size, -block
+    m = bases.shape[-1]
+    angles, block, cut = _principal_angles(frame[..., :m], bases, cut_tol, frame[..., m:])
+    return angles, _cost(angles), -block, cut
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint,
                      cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
-    frame = _frame_of(problem, point)
-    block = (2.0 / problem.size) * _evaluate(problem, frame, cut_tol)[2]
-    m = problem.rank
-    return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:], block))
+    frame, m = _frame_of(problem, point), problem.rank
+    _, _, block, cut = _evaluate(problem.bases, frame, cut_tol)
+    if cut >= 0:
+        raise CutLocusError(index=int(cut))
+    return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:],
+                                                (2.0 / problem.size) * block))
 
 
 def backtracking_step(objective, value0: float, slope: float, step: float) -> float:
@@ -224,43 +252,44 @@ def _at_noise_floor(decrease: float, value0: float) -> bool:
     along the residual field approaches N there, so the solver takes the
     model-exact step 1/N without a cost comparison.
     """
-    return decrease <= NOISE_SLOPE_FACTOR * np.finfo(float).eps * max(1.0, value0)
+    return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
 
-def _newton_step(problem: KarcherProblem, frame: np.ndarray, block: np.ndarray,
-                 angles: np.ndarray, domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
-    """Newton step size along the tangent block d = ``block`` in ``frame``, rank one.
+def _newton_step(bases: np.ndarray, frame: np.ndarray, block: np.ndarray,
+                 angles: np.ndarray, domain_tol: float = NEWTON_DOMAIN_TOL):
+    """Newton step sizes along the tangent blocks d = ``block`` in ``frame``, rank one.
 
     Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With the overlaps
     c_i = y_i^H x1 and e_i = y_i^H X2 d^H, its derivatives at t = 0 are
     lambda' = 2 Re(c_i conj(e_i)) and lambda'' = 2 |e_i|^2 - 2 |c_i|^2 |d|^2.
-    ``angles`` are the kernel's (N, 1) principal angles at ``frame``. The
-    step is -F'(0) / |F''(0)|. Every lambda_i must stay inside
-    (domain_tol, 1 - domain_tol).
+    ``angles`` are the kernel's (N, 1) principal angles at ``frame``, and
+    leading axes are a batch. Returns the steps -F'(0) / |F''(0)| and a list
+    of None or each problem's error: DomainError unless every lambda_i is
+    inside (domain_tol, 1 - domain_tol), else DegenerateCurvatureError. A
+    failed problem's step is 0.
     """
-    over = problem.bases[:, :, 0].conj() @ np.column_stack(
-        [frame[:, 0], frame[:, 1:] @ block[0].conj()])
-    c, e = over[:, 0], over[:, 1]
-    lam = (c * c.conj()).real
-    if np.any(lam <= domain_tol) or np.any(lam >= 1.0 - domain_tol):
-        raise DomainError("a datum is too close to the evaluation point or its cut locus")
+    ahead = frame[..., 1:] @ block.conj().swapaxes(-1, -2)
+    over = bases[..., 0].conj() @ np.concatenate([frame[..., :1], ahead], axis=-1)
+    prod = over[..., :1].conj() * over  # |c_i|^2 and conj(c_i) e_i
+    lam, lam_d, e = prod[..., 0].real, 2.0 * prod[..., 1].real, over[..., 1]
+    outside = ((lam <= domain_tol) | (lam >= 1.0 - domain_tol)).any(axis=-1)
     speed = _metric(block, block)  # the squared norm 2 |d|^2
-    lam_d = 2.0 * (c * e.conj()).real
-    lam_dd = 2.0 * (e * e.conj()).real - lam * speed
-    spread = lam - lam * lam
-    root = np.sqrt(spread)
-    angles = angles[:, 0]
-    first = -(2.0 / problem.size) * np.sum(angles * lam_d / root)
-    second = (2.0 / problem.size) * np.sum(
-        lam_d * lam_d / (2.0 * spread)
-        + angles * (lam_d * lam_d * (1.0 - 2.0 * lam) / (2.0 * root ** 3) - lam_dd / root))
-    if first == 0.0:
-        return 0.0
+    lam_dd = 2.0 * (e * e.conj()).real - lam * speed[..., np.newaxis]
+    with np.errstate(invalid="ignore", divide="ignore"):  # outside the domain
+        root = np.sqrt(lam - lam * lam)
+        rate, weight = lam_d / root, angles[..., 0] / root  # lambda' / root, theta / root
+        first = (-2.0 / bases.shape[-3]) * (rate * angles[..., 0]).sum(axis=-1)
+        second = (2.0 / bases.shape[-3]) * (0.5 * rate * rate + weight * (
+            (0.5 - lam) * rate * rate - lam_dd)).sum(axis=-1)
+        step = -first / np.abs(second)
     # F'' along H scales with |H|^2, so degeneracy is a relative statement;
     # an absolute floor would trip on healthy short directions near the optimum
-    if abs(second) < CURVATURE_TOL * max(speed, np.finfo(float).tiny):
-        raise DegenerateCurvatureError(f"second derivative {second:.3e} is numerically zero")
-    return float(-first / abs(second))
+    flat = (first != 0.0) & (np.abs(second) < CURVATURE_TOL * np.maximum(speed, _TINY))
+    errors = [DomainError("a datum is too close to the evaluation point or its cut locus")
+              if out else DegenerateCurvatureError(f"second derivative {s:.3e} is numerically zero")
+              if low else None for out, low, s in zip(*(v.reshape(-1).tolist()
+                                                       for v in (outside, flat, second)))]
+    return np.where(outside | flat | (first == 0.0), 0.0, step), errors
 
 
 def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
@@ -271,9 +300,23 @@ def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
         raise InvalidInputError("the Newton step rule requires rank-one subspaces")
     frame = _frame_of(problem, point)
     require_anchored(direction, point)
-    angles, _ = _principal_angles(frame[:, :1], problem.bases)
-    return _newton_step(problem, frame, _tangent_block(frame, 1, direction.matrix),
-                        angles, domain_tol)
+    angles, _, _ = _principal_angles(frame[:, :1], problem.bases)
+    step, (error,) = _newton_step(problem.bases, frame,
+                                  _tangent_block(frame, 1, direction.matrix), angles, domain_tol)
+    if error is not None:
+        raise error
+    return float(step)
+
+
+# numerator and denominator of each conjugate-direction coefficient from the new
+# gradient g, its change y = g - h from the old gradient h, and the old direction d
+_CONJUGATE = {
+    "hs": lambda g, y, h, d: (_metric(g, y), _metric(d, y)),
+    "pr": lambda g, y, h, d: (_metric(g, y), _metric(h, h)),
+    "fr": lambda g, y, h, d: (_metric(g, g), _metric(h, h)),
+    "dy": lambda g, y, h, d: (_metric(g, g), _metric(d, y)),
+    "star": lambda g, y, h, d: (-_metric(g, y), _metric(d, h)),
+}
 
 
 def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
@@ -281,33 +324,18 @@ def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
     """Conjugate-direction coefficient and a flag for degenerate fallback.
 
     The arguments are tangent blocks in one frame; transport along the
-    geodesic leaves blocks unchanged, so old blocks are transported ones.
+    geodesic leaves blocks unchanged, so old blocks are transported ones. A
+    zero denominator or a non-finite ratio falls back to 0. Blocks with
+    leading batch axes give a list of (coefficient, fallback) pairs.
     """
-    diff = grad_new - grad_old
-    if rule == "hs":
-        num = _metric(grad_new, diff)
-        den = _metric(dir_old, diff)
-    elif rule == "pr":
-        num = _metric(grad_new, diff)
-        den = _metric(grad_old, grad_old)
-    elif rule == "fr":
-        num = _metric(grad_new, grad_new)
-        den = _metric(grad_old, grad_old)
-    elif rule == "dy":
-        num = _metric(grad_new, grad_new)
-        den = _metric(dir_old, diff)
-    elif rule == "star":
-        num = -_metric(grad_new, diff)
-        den = _metric(dir_old, grad_old)
-    else:
-        raise InvalidInputError(f"unknown direction rule {rule!r}")
-    if den == 0.0 or not np.isfinite(num / den):
-        return 0.0, True
-    return num / den, False
+    num, den = _CONJUGATE[rule](grad_new, grad_new - grad_old, grad_old, dir_old)
+    pairs = [(n / d, False) if d != 0.0 and math.isfinite(n / d) else (0.0, True)
+             for n, d in zip(num.reshape(-1).tolist(), den.reshape(-1).tolist())]
+    return pairs if num.ndim else pairs[0]
 
 
 def _anchor_frame(problem: KarcherProblem) -> np.ndarray:
-    """Unitary frame whose first m columns span the Euclidean anchor.
+    """Unitary frame whose first m columns span the Euclidean anchor, per problem.
 
     The anchor is the dominant eigenspace of the averaged data projectors, an
     average that is one GEMM on the stack; its descending eigenvectors are
@@ -315,13 +343,17 @@ def _anchor_frame(problem: KarcherProblem) -> np.ndarray:
     is below INIT_GAP_TOL (ill-defined eigenspace), the frame is the first
     datum's basis completed by ``complete_frame``.
     """
-    count, n, m = problem.bases.shape
+    *batch, count, n, m = problem.bases.shape
+    frame, gapped = np.empty((*batch, n, n), dtype=complex), np.zeros(batch, dtype=bool)
     if count > 1 and m < n:
-        stacked = problem.bases.transpose(1, 0, 2).reshape(n, count * m)
-        vals, vecs = linalg.hermitian_eig(stacked @ stacked.conj().T / count)
-        if vals[m - 1] - vals[m] >= INIT_GAP_TOL:
-            return vecs
-    return complete_frame(problem.bases[0])
+        stacked = problem.bases.swapaxes(-3, -2).reshape(*batch, n, count * m)
+        average = stacked @ stacked.conj().swapaxes(-1, -2) / count
+        vals, vecs = np.linalg.eigh(0.5 * (average + average.conj().swapaxes(-1, -2)))
+        frame = np.ascontiguousarray(vecs[..., ::-1])
+        gapped = vals[..., n - m] - vals[..., n - m - 1] >= INIT_GAP_TOL
+    for index in map(tuple, np.argwhere(~gapped)):
+        frame[index] = complete_frame(problem.bases[index][0])
+    return frame
 
 
 def default_init(problem: KarcherProblem) -> GrassmannPoint:
@@ -346,100 +378,121 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     N/2 times karcher_gradient, so the result meets the tolerance in the
     gradient reading as well. Backtracking starts at the Karcher fixed-point
     step 1/N on that field (Afsari, Tron & Vidal 2013) and tests the mean cost.
+
+    A batch (bases (B, N, n, m)) runs through the same loop, each problem with
+    its own state and trace until it stops; one problem is a batch of one. A
+    batch returns B points and a BatchTrace, its callback gets tuples of B
+    points, gradients and directions (None once stopped), and it raises the
+    first failed problem's error, with ``err.problem`` its index. A typed
+    error raised by a step function itself stops every running problem.
     """
     if config is None:
         config = CGConfig()
-    n, m = problem.dim, problem.rank
+    n, m, count = problem.dim, problem.rank, problem.size
     if config.step_rule == "newton_cp" and m != 1:
         raise InvalidInputError("the newton_cp step rule requires rank-one subspaces")
-    frame = _anchor_frame(problem) if init is None else _frame_of(problem, init)
-    period = config.restart_period
-    if period is None:
-        period = max(1, 2 * m * (n - m) - 1)
-    trace = CGTrace()
+    batched = problem.bases.ndim == 4
+    bases = problem.bases if batched else problem.bases[np.newaxis]
+    start = _anchor_frame(problem) if init is None else _frame_of(problem, init)
+    frame = np.broadcast_to(start, (len(bases), n, n))
+    ids, result, failed = list(range(len(bases))), np.empty_like(frame), {}
+    traces = [CGTrace() for _ in ids]
+    period = config.restart_period or max(1, 2 * m * (n - m) - 1)
+    first_step, backtrack = 1.0 / count, config.step_rule == "backtracking"
 
-    def fail(err):
-        trace.status = err.status
-        err.trace = trace
-        return err
+    def view(k):  # the callback's point, gradient and direction of running problem k
+        point, x1, x2 = _point(frame[k], m), frame[k, :, :m], frame[k, :, m:]
+        return (point, TangentVector(point, _tangent_matrix(x1, x2, grad[k])),
+                TangentVector(point, _tangent_matrix(x1, x2, direction[k])))
 
-    def report(iteration):
-        point, x1, x2 = _point(frame, m), frame[:, :m], frame[:, m:]
-        callback(iteration, point, TangentVector(point, _tangent_matrix(x1, x2, grad)),
-                 TangentVector(point, _tangent_matrix(x1, x2, direction)))
+    # per-problem scalars are lists, and blocks and frames arrays, over the
+    # running problems in problem order
+    for iteration in range(config.max_iter + 1):
+        size = len(ids)
+        errors, capped, forced = [None] * size, [False] * size, [False] * size
+        steps = [first_step if iteration else 0.0] * size
+        if iteration:
+            # slopes of the mean cost, 2/N times those along the residual field
+            slopes = (2.0 * first_step * _metric(grad, direction)).tolist()
+            steepest = [-2.0 * first_step * g * g for g in gnorm]
+            noise_floor = [backtrack and _at_noise_floor(-first_step * s, c)
+                           for s, c in zip(steepest, cost)]
+            for k in range(size):
+                if noise_floor[k] or not slopes[k] < 0.0:
+                    direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
+            try:
+                if not backtrack:
+                    step, errors = _newton_step(bases, frame, direction, angles)
+                    capped = (step > NEWTON_STEP_CAP).tolist()
+                    steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
+                path = _geodesic(frame, m, direction)
+                for k in range(size) if backtrack else ():
 
-    try:
-        angles, cost, grad = _evaluate(problem, frame)
-    except CutLocusError as err:
-        raise fail(err)
-    gnorm = math.sqrt(_metric(grad, grad))
-    trace.iterates.append(CGIterate(0, cost, gnorm, 0.0, "init", False))
-    direction = -grad
-    if callback is not None:
-        report(0)
+                    def line_value(a):
+                        trial, _, cut = _principal_angles(
+                            np.linalg.qr(path(a)[k])[0], bases[k], CUT_LOCUS_TOL)
+                        return np.inf if cut >= 0 else float(_cost(trial))
 
-    first_step, backtrack = 1.0 / problem.size, config.step_rule == "backtracking"
-    iteration = 0
-    while gnorm >= config.grad_tol and iteration < config.max_iter:
-        iteration += 1
-        # slopes of the mean cost, 2/N times those along the residual field
-        slope = 2.0 * first_step * _metric(grad, direction)
-        steepest = -2.0 * first_step * gnorm * gnorm
-        noise_floor = backtrack and _at_noise_floor(-first_step * steepest, cost)
-        forced_restart = noise_floor or not slope < 0.0
-        if forced_restart:
-            direction, slope = -grad, steepest
-        capped = False
-        path = _geodesic(frame, m, direction)
-        try:
-            if not backtrack:
-                step = _newton_step(problem, frame, direction, angles)
-                capped, step = step > NEWTON_STEP_CAP, min(step, NEWTON_STEP_CAP)
-            elif noise_floor:
-                step = first_step
-            else:
-
-                def line_value(a):
-                    trial, _ = np.linalg.qr(path(a))
-                    try:
-                        return _cost_from_basis(problem, trial)
-                    except CutLocusError:
-                        return float("inf")
-
-                try:
-                    step = backtracking_step(line_value, cost, slope, first_step)
-                except LineSearchFailedError:
-                    if forced_restart:
-                        raise
-                    # a stale conjugate direction can degenerate to numerical
-                    # noise; retry from steepest descent before giving up
-                    direction, slope, forced_restart = -grad, steepest, True
-                    path = _geodesic(frame, m, direction)
-                    step = backtracking_step(line_value, cost, slope, first_step)
-            # re-orthonormalize, folding R's diagonal phases back into Q so
-            # the frame stays the transported one and carried blocks stay valid
-            frame, tri = np.linalg.qr(path(step, full=True))
-            phases = np.diagonal(tri)
-            frame = frame * (phases / np.abs(phases))
-            angles, new_cost, new_grad = _evaluate(problem, frame)
-        except (CutLocusError, LineSearchFailedError, DegenerateCurvatureError,
-                DomainError) as err:
-            raise fail(err)
-        new_gnorm = math.sqrt(_metric(new_grad, new_grad))
-        periodic = iteration % period == 0
-        if periodic:
-            fallback = False
-            new_direction = -new_grad
+                    while not noise_floor[k]:
+                        try:
+                            steps[k] = backtracking_step(line_value, cost[k], slopes[k], first_step)
+                            break
+                        except LineSearchFailedError as err:
+                            if forced[k]:  # a failed problem does not move
+                                errors[k], steps[k] = err, 0.0
+                                break
+                            # a stale conjugate direction can degenerate to numerical
+                            # noise; retry from steepest descent before giving up
+                            direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
+                            path = _geodesic(frame, m, direction)
+                # re-orthonormalize, folding R's diagonal phases back into Q so the
+                # frame stays the transported one and carried blocks stay valid
+                frame, tri = np.linalg.qr(path(np.array(steps), full=True))
+                phases = tri.diagonal(0, -2, -1)
+                frame = frame * (phases / np.abs(phases))[:, np.newaxis, :]
+            except GrassmeanError as err:  # raised by a step function for the whole batch
+                if err.status is None:
+                    raise
+                errors = [err] * size
+        angles, new_cost, new_grad, cut = _evaluate(bases, frame)
+        new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
+        periodic = iteration > 0 and iteration % period == 0
+        if iteration == 0 or periodic:
+            fallback, new_direction = [False] * size, -new_grad
         else:
-            coeff, fallback = _coefficient(config.direction_rule, new_grad, grad, direction)
-            new_direction = -new_grad + coeff * direction
-        restarted = periodic or fallback or forced_restart
-        rule = "sd" if (periodic or fallback) else config.direction_rule
-        trace.iterates.append(
-            CGIterate(iteration, new_cost, new_gnorm, step, rule, restarted, capped))
+            coeff, fallback = zip(*_coefficient(config.direction_rule, new_grad, grad, direction))
+            new_direction = -new_grad + np.array(coeff)[:, np.newaxis, np.newaxis] * direction
+        rule = "init" if iteration == 0 else config.direction_rule
+        for k, i in enumerate(cut.tolist() if np.ndim(cut) else [cut] * size):
+            errors[k] = errors[k] or (CutLocusError(index=i) if i >= 0 else None)
+            if errors[k]:
+                failed[ids[k]] = errors[k]
+                continue
+            sd = periodic or fallback[k]
+            traces[ids[k]].iterates.append(CGIterate(
+                iteration, new_cost[k], new_gnorm[k], steps[k], "sd" if sd else rule,
+                sd or forced[k], capped[k]))
         grad, cost, gnorm, direction = new_grad, new_cost, new_gnorm, new_direction
-        if callback is not None:
-            report(iteration)
-
-    trace.status = "converged" if gnorm < config.grad_tol else "max_iter"
-    return _point(frame, m), trace
+        if callback is not None and not all(errors):
+            rows = {ids[k]: view(k) for k, err in enumerate(errors) if err is None}
+            callback(iteration, *zip(*(rows.get(b, (None,) * 3) for b in range(len(traces))))
+                     if batched else rows[0])
+        keep = [err is None and g >= config.grad_tol for err, g in zip(errors, gnorm)]
+        if not all(keep):
+            result[ids] = frame
+            if not any(keep):
+                break
+            ids, cost, gnorm = ([v for v, go in zip(part, keep) if go] for part in (ids, cost, gnorm))
+            keep = np.array(keep)
+            bases, frame, angles, grad, direction = (
+                part[keep] for part in (bases, frame, angles, grad, direction))
+    result[ids] = frame
+    for index, trace in enumerate(traces):
+        trace.status = failed[index].status if index in failed else (
+            "converged" if trace.iterates[-1].grad_norm < config.grad_tol else "max_iter")
+    if failed:
+        index = min(failed)
+        failed[index].trace, failed[index].problem = traces[index], index
+        raise failed[index]
+    points = [_point(end, m) for end in result]
+    return (points, BatchTrace(traces)) if batched else (points[0], traces[0])

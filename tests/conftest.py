@@ -40,14 +40,16 @@ def random_cloud(n, m, count, radius, rng):
     return center, points
 
 
-def basis_cloud(n, m, count, radius, rng):
-    """``count`` bases at geodesic distance 0.2..1 x ``radius`` from a random
-    subspace, built as one batched stack with no projector round trip.
+def basis_cloud(n, m, count, radius, rng, frame=None):
+    """``count`` bases at geodesic distance 0.2..1 x ``radius`` from the span
+    of the first m columns of the unitary ``frame`` (random when omitted),
+    built as one batched stack with no projector round trip.
 
     Distances are in the projector metric, sqrt(2) times the norm of the
     principal angles, as in ``random_cloud``.
     """
-    frame = random_unitary(n, rng)
+    if frame is None:
+        frame = random_unitary(n, rng)
     x1, x2 = frame[:, :m], frame[:, m:]
     shape = (count, n - m, m)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

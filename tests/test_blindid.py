@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grassmean.blindid as blindid
+import grassmean.grassmann as grassmann
 import grassmean.karcher as karcher
 from conftest import random_cloud, random_unitary
 from grassmean.blindid import (
@@ -428,3 +430,92 @@ def test_karcher_beats_euclid_at_high_noise():
     es = [r.amari_euclid for r in rows if r.status == "ok"]
     assert len(ks) >= 10
     assert np.median(ks) < np.median(es)
+
+
+def _greedy_assignment(estimates):
+    # the column matching of align_columns, one estimate and one greedy pick at a time
+    ref = estimates.matrices[0]
+    perms = []
+    for est in estimates.matrices:
+        free = np.abs(ref.conj().T @ est) ** 2
+        assignment = np.full(estimates.n, -1)
+        for _ in range(estimates.n):
+            k, j = np.unravel_index(np.argmax(free), free.shape)
+            assignment[k] = j
+            free[k, :] = -1.0
+            free[:, j] = -1.0
+        perms.append(est[:, assignment])
+    return np.stack(perms)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_align_columns_matches_the_greedy_loop(data):
+    # exact ties come from columns drawn from a few repeated unit vectors,
+    # including the coordinate axes, whose overlaps are exactly 0 or 1
+    n = data.draw(st.integers(1, 7), label="n")
+    count = data.draw(st.integers(1, 6), label="count")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    pool = np.hstack([np.eye(n), unit_columns(rng.standard_normal((n, 3))
+                                              + 1j * rng.standard_normal((n, 3)))])
+    if data.draw(st.booleans(), label="ties"):
+        picks = rng.integers(pool.shape[1], size=(count, n))
+        mats = np.stack([pool[:, pick] for pick in picks])
+    else:
+        mats = np.stack([unit_columns(rng.standard_normal((n, n))
+                                      + 1j * rng.standard_normal((n, n))) for _ in range(count)])
+    estimates = EstimateSet(mats)
+    aligned = align_columns(estimates)
+    assert aligned.matrices.tobytes() == _greedy_assignment(estimates).tobytes()
+    assert not aligned.matrices.flags.writeable
+
+
+def test_trial_checks_its_estimate_columns_once(monkeypatch):
+    # the trial's EstimateSet checks the columns; aligning them and averaging
+    # them reads that checked stack without another orthonormality test
+    calls = []
+    original = blindid._stiefel_defects
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return original(stack)
+
+    monkeypatch.setattr(blindid, "_stiefel_defects", counted)
+    monkeypatch.setattr(grassmann, "_stiefel_defects", counted)
+    cfg = MixingExperiment(n=4, n_estimations=5, trials=1, samples_per_trial=500)
+    (row,) = run_experiment(cfg, "noise_level", [0.5])
+    assert row.status == "ok"
+    assert calls == [(5, 4, 4, 1)]
+
+
+def test_average_karcher_solves_every_column_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(problem, **kwargs):
+        calls.append(problem.bases.shape)
+        return karcher_mean(problem, **kwargs)
+
+    monkeypatch.setattr(blindid, "karcher_mean", counted)
+    rng = np.random.default_rng(14)
+    ref = unit_columns(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    aligned = EstimateSet(np.stack([
+        unit_columns(ref + 0.05 * (rng.standard_normal((5, 5))
+                                   + 1j * rng.standard_normal((5, 5)))) for _ in range(7)]))
+    means = average_karcher(aligned)
+    assert calls == [(5, 7, 5, 1)]
+    for j, point in enumerate(means):
+        alone, trace = karcher_mean(KarcherProblem([StiefelBasis(m[:, j:j + 1])
+                                                    for m in aligned.matrices]),
+                                    config=CGConfig(step_rule="newton_cp"))
+        assert trace.converged
+        assert np.linalg.norm(point.matrix - alone.matrix) < 1e-12
+
+
+def test_average_karcher_names_the_lowest_cut_column():
+    # columns 1 and 2 hold two orthogonal lines each, so their averages stop
+    # at the cut locus; column 1 is named, as column by column solving would
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(CutLocusError) as info:
+        average_karcher(EstimateSet(np.stack([eye, eye[:, [0, 2, 1]]])))
+    assert info.value.column == 1 and info.value.index == 1
+    assert str(info.value).startswith("column 1: ")

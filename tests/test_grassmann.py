@@ -215,6 +215,15 @@ def test_log_at_cut_locus_raises():
         log(p, q)
 
 
+def test_log_skips_the_cut_locus_check_without_a_tolerance():
+    p = GrassmannPoint(np.diag([1.0, 0.0]))
+    q = GrassmannPoint(np.diag([0.0, 1.0]))
+    assert np.isfinite(log(p, q, cut_tol=None).matrix).all()
+    rng = np.random.default_rng(61)
+    p, q = random_point(5, 2, rng), random_point(5, 2, rng)
+    assert np.array_equal(log(p, q, cut_tol=None).matrix, log(p, q).matrix)
+
+
 def test_full_grassmannian_is_a_single_point():
     p = GrassmannPoint(np.eye(3))
     assert log(p, p).norm() == 0.0

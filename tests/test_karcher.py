@@ -7,6 +7,7 @@ from grassmean import linalg
 from conftest import basis_cloud, random_cloud, random_point, random_tangent, random_unitary
 from grassmean.exceptions import (
     CutLocusError,
+    GrassmeanError,
     InvalidInputError,
     LineSearchFailedError,
     NotDescentDirectionError,
@@ -616,3 +617,137 @@ def test_explicit_init_is_respected():
     assert trace.converged
     ref, _ = karcher_mean(problem)
     assert dist(point, ref) < 1e-6
+
+
+def _outcome(problem, config, init=None):
+    """``karcher_mean``'s (points, trace), or its typed error."""
+    try:
+        return karcher_mean(problem, init=init, config=config)
+    except GrassmeanError as err:
+        if err.status is None:
+            raise
+        return err
+
+
+def _assert_same_trace(trace, ref):
+    # numpy's vectorized abs, arccos and sin may round the last bit apart on
+    # stacks of different lengths, so batched and lone runs agree to 1e-12.
+    # A Newton step sits at the cap within rounding for a lone datum, and
+    # its size is ill-conditioned as the residual vanishes, so step sizes are
+    # compared through the move they make along the previous residual
+    assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+    scale = 1.0
+    for item, want in zip(trace.iterates, ref.iterates):
+        assert (item.iteration, item.direction_rule, item.restart) == (
+            want.iteration, want.direction_rule, want.restart)
+        assert item.step_capped == want.step_capped or item.step_size == 1.0
+        assert abs(item.cost - want.cost) <= 1e-12
+        assert abs(item.grad_norm - want.grad_norm) <= 1e-12
+        assert abs(item.step_size - want.step_size) * scale <= 1e-12
+        scale = want.grad_norm
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_a_batch_solves_like_separate_calls(data):
+    # B problems of one shape, solved by one batched karcher_mean call and
+    # by B calls of one problem each: the same statuses, traces and means.
+    # Problems with a datum orthogonal to the start stop at the cut locus,
+    # and Newton problems holding the start itself leave the Newton domain;
+    # the batch then raises the error of the lowest failing problem
+    size = data.draw(st.integers(1, 8), label="B")
+    n = data.draw(st.integers(2, 8), label="n")
+    step_rule = data.draw(st.sampled_from(["backtracking", "newton_cp"]), label="step_rule")
+    m = 1 if step_rule == "newton_cp" else data.draw(st.integers(1, n - 1), label="m")
+    count = data.draw(st.integers(1, 50), label="N")
+    radius = data.draw(st.floats(0.05, 1.0), label="radius")
+    faults = ["none"] * size
+    if data.draw(st.booleans(), label="inject"):
+        faults = data.draw(st.lists(st.sampled_from(["none", "cut", "start"]),
+                                    min_size=size, max_size=size), label="faults")
+    start = "start" in faults or "cut" in faults or data.draw(st.booleans(), label="init")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    frame = random_unitary(n, rng)
+    stack = np.stack([[b.matrix for b in basis_cloud(n, m, count, radius, rng, frame)]
+                      for _ in range(size)])
+    for b, fault in enumerate(faults):
+        if fault == "cut":  # one principal angle of pi/2 to the start
+            stack[b, -1] = np.hstack([frame[:, :m - 1], frame[:, m:m + 1]])
+        elif fault == "start":
+            stack[b, -1] = frame[:, :m]
+    config = CGConfig(step_rule=step_rule)
+    init = projector_from_basis(frame[:, :m]) if start else None
+    alone = [_outcome(KarcherProblem(_stack=stack[b]), config, init) for b in range(size)]
+    together = _outcome(KarcherProblem(_stack=stack), config, init)
+    failing = [b for b, got in enumerate(alone) if isinstance(got, GrassmeanError)]
+    if failing:
+        ref = alone[failing[0]]
+        assert type(together) is type(ref) and together.problem == failing[0]
+        assert getattr(together, "index", None) == getattr(ref, "index", None)
+        _assert_same_trace(together.trace, ref.trace)
+        return
+    points, traces = together
+    assert len(points) == len(traces) == size
+    assert traces.status == next((t.status for _, t in alone if not t.converged), "converged")
+    assert traces.iterations == sum(t.iterations for _, t in alone)
+    for point, trace, (ref_point, ref_trace) in zip(points, traces, alone):
+        _assert_same_trace(trace, ref_trace)
+        assert np.linalg.norm(point.matrix - ref_point.matrix) <= 1e-12
+
+
+def test_batch_reports_the_lowest_failing_problem_and_keeps_going():
+    # problem 1 stops at the cut locus at its start and problem 3 leaves the
+    # Newton domain at its first step; problems 0 and 2 converge meanwhile
+    rng = np.random.default_rng(41)
+    frame = random_unitary(4, rng)
+    stack = np.stack([[b.matrix for b in basis_cloud(4, 1, 6, 0.5, rng, frame)]
+                      for _ in range(4)])
+    stack[1, 2], stack[3, 4] = frame[:, 1:2], frame[:, :1]
+    seen = []
+    with pytest.raises(CutLocusError) as info:
+        karcher_mean(KarcherProblem(_stack=stack), init=projector_from_basis(frame[:, :1]),
+                     config=CGConfig(step_rule="newton_cp"),
+                     callback=lambda it, points, *_: seen.append([p is not None for p in points]))
+    assert (info.value.problem, info.value.index) == (1, 2)
+    assert info.value.trace.status == "cut_locus" and info.value.trace.iterations == 0
+    assert seen[0] == [True, False, True, True]
+    assert seen[1] == [True, False, True, False]
+
+
+def test_projector_data_take_one_batched_eigh():
+    # the bases of projector data are the ones _frame takes, bit for bit, from
+    # one eigh over the whole stack; a rank-deficient projector is still rejected
+    _, points = random_cloud(6, 2, 30, 0.5, np.random.default_rng(35))
+    bases = KarcherProblem(points).bases
+    for point, basis in zip(points, bases):
+        assert basis.tobytes() == karcher._frame(point)[:, :2].tobytes()
+    broken = object.__new__(GrassmannPoint)
+    object.__setattr__(broken, "matrix", np.zeros((3, 3), dtype=complex))
+    object.__setattr__(broken, "rank", 1)
+    with pytest.raises(InvalidInputError, match="rank deficient"):
+        KarcherProblem((GrassmannPoint(np.diag([1.0, 0.0, 0.0])), broken))
+
+
+def test_the_readers_stack_is_copied_once_in_order():
+    # the bases of a stack the file reader split, in any order or mixed with
+    # rows of another stack, become one read-only stack of their own
+    stack = np.stack([b.matrix for b in basis_cloud(5, 2, 7, 0.4, np.random.default_rng(36))])
+    bases = StiefelBasis._split(stack)
+    problem = KarcherProblem(bases)
+    assert np.array_equal(problem.bases, stack) and not problem.bases.flags.writeable
+    assert not np.shares_memory(problem.bases, bases[0].matrix)
+    assert np.array_equal(KarcherProblem(bases[::-1]).bases, stack[::-1])
+    mixed = bases[:3] + StiefelBasis._split(stack)[3:]
+    assert np.array_equal(KarcherProblem(mixed).bases, stack)
+
+
+def test_cost_and_gradient_skip_the_cut_locus_check_without_a_tolerance():
+    line, across = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
+    problem = KarcherProblem((StiefelBasis(across),))
+    at = projector_from_basis(line)
+    with pytest.raises(CutLocusError):
+        karcher_cost(problem, at)
+    with pytest.raises(CutLocusError):
+        karcher_gradient(problem, at)
+    assert abs(karcher_cost(problem, at, cut_tol=None) - np.pi ** 2 / 2) < 1e-12
+    assert np.isfinite(karcher_gradient(problem, at, cut_tol=None).matrix).all()

@@ -24,7 +24,6 @@ import numpy as np
 
 from .exceptions import (
     AmbiguousModelWarning,
-    CutLocusError,
     DegenerateAverageError,
     GrassmeanError,
     IllConditionedError,
@@ -36,6 +35,7 @@ from . import linalg
 
 COND_LIMIT = 1e10
 AMARI_COND_LIMIT = 1e12
+TAKAGI_GROUP_TOL = 1e-8
 CIRCULARITY_GAP_TOL = 1e-3
 MIN_SAMPLES_PER_SOURCE = 10
 
@@ -87,8 +87,9 @@ class EstimateSet:
 
     def __post_init__(self):
         mats = np.array(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise InvalidInputError(f"expected a (count, n, n) stack, got shape {mats.shape}")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.size:
+            raise InvalidInputError(
+                f"expected a nonempty (count, n, n) stack, got shape {mats.shape}")
         if not np.all(np.isfinite(mats)):
             raise InvalidInputError("estimates contain non-finite entries")
         bad = np.argwhere(_stiefel_defects(mats.transpose(0, 2, 1)[..., np.newaxis]) >= STIEFEL_TOL)
@@ -140,21 +141,21 @@ def mix(mixing: np.ndarray, perturbation: np.ndarray, noise_level: float,
     return (mixing + noise_level * perturbation) @ sources
 
 
-def takagi(matrix: np.ndarray, group_tol: float = 1e-8):
+def takagi(matrix: np.ndarray):
     """Takagi factorization M = U diag(s) U^T of a complex symmetric matrix.
 
     Built on the SVD: the unitary linking the left and right singular bases
-    is block diagonal over groups of equal singular values and symmetric
-    there, so its principal square root merges the two bases. Returns
-    (s, U) with s descending and U unitary.
+    is block diagonal over groups of singular values equal to within
+    TAKAGI_GROUP_TOL (relative) and symmetric there, so its principal square
+    root merges the two bases. Returns (s, U) with s descending and U unitary.
     """
     mat = linalg.as_matrix(matrix, "matrix")
     if mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("matrix must be square")
-    return _takagi(0.5 * (mat + mat.T), group_tol)
+    return _takagi(0.5 * (mat + mat.T))
 
 
-def _takagi(sym: np.ndarray, group_tol: float = 1e-8):
+def _takagi(sym: np.ndarray):
     """``takagi`` of an exactly symmetric square matrix, unvalidated."""
     left, vals, right_h = np.linalg.svd(sym)
     link = left.conj().T @ right_h.T
@@ -163,19 +164,18 @@ def _takagi(sym: np.ndarray, group_tol: float = 1e-8):
     # start of its group. group[k] is the first index of k's group.
     group = np.zeros(len(vals), dtype=int)
     for k in range(1, len(vals)):
-        group[k] = group[k - 1] if vals[group[k - 1]] - vals[k] <= group_tol * scale else k
+        group[k] = group[k - 1] if vals[group[k - 1]] - vals[k] <= TAKAGI_GROUP_TOL * scale else k
     blocks = np.where(group[:, None] == group[None, :], link, 0.0)
     blocks = 0.5 * (blocks + blocks.T)
     zero = group[-1]
-    if vals[zero] <= group_tol * scale:
+    if vals[zero] <= TAKAGI_GROUP_TOL * scale:
         # the null space has no phase to merge; any unitary block will do
         blocks[zero:, zero:] = np.eye(len(vals) - zero)
     import scipy.linalg  # the package's one scipy call, loaded on first use
     return vals, left @ scipy.linalg.sqrtm(blocks)
 
 
-def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray,
-                         cond_limit: float = COND_LIMIT) -> np.ndarray:
+def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray) -> np.ndarray:
     """Mixing-matrix estimate from a covariance / pseudo-covariance pair.
 
     The strong uncorrelating transform whitens with the inverse Hermitian
@@ -189,16 +189,16 @@ def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray,
     pseudo = linalg.as_matrix(pseudo_cov, "pseudo-covariance")
     if pseudo.shape != cov.shape:
         raise InvalidInputError("covariance and pseudo-covariance shapes differ")
-    return _sut(cov, pseudo, cond_limit)
+    return _sut(cov, pseudo)
 
 
-def _sut(cov: np.ndarray, pseudo: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def _sut(cov: np.ndarray, pseudo: np.ndarray) -> np.ndarray:
     """``sut_from_covariances`` on finite, equal-shaped square inputs, unvalidated.
 
     Only the lower triangle of ``cov`` is read.
     """
     vals, vecs = np.linalg.eigh(cov)
-    if vals[0] <= 0 or vals[-1] / vals[0] > cond_limit:
+    if vals[0] <= 0 or vals[-1] / vals[0] > COND_LIMIT:
         raise IllConditionedError("covariance is numerically singular")
     whiten = (vecs * vals ** -0.5) @ vecs.conj().T
     color = (vecs * vals ** 0.5) @ vecs.conj().T
@@ -264,17 +264,19 @@ def average_karcher(aligned: EstimateSet, config: CGConfig = None) -> list:
     """Column-wise Karcher means of the aligned estimates on projective space.
 
     Returns one rank-one GrassmannPoint per column. All columns are solved in
-    one batched ``karcher_mean`` call; a cut-locus failure is re-raised with
-    the lowest failing column's index attached.
+    one batched ``karcher_mean`` call; the lowest failing column's error is
+    re-raised with its trace, its ``column`` set and the column named.
     """
     if config is None:
         config = CGConfig(step_rule="newton_cp")
     columns = np.ascontiguousarray(aligned.matrices.transpose(2, 0, 1)[..., np.newaxis])
     try:
         means, _ = karcher_mean(KarcherProblem(_stack=columns), config=config)
-    except CutLocusError as err:
-        raise CutLocusError(f"column {err.problem}: {err}", index=err.index,
-                            column=err.problem) from err
+    except GrassmeanError as err:
+        if err.problem is not None:
+            err.column = err.problem
+            err.args = (f"column {err.problem}: {err}",)
+        raise
     return means
 
 
@@ -297,19 +299,18 @@ def average_euclid(aligned: EstimateSet) -> np.ndarray:
     return out
 
 
-def amari_error(estimate: np.ndarray, mixing: np.ndarray,
-                cond_limit: float = AMARI_COND_LIMIT) -> float:
+def amari_error(estimate: np.ndarray, mixing: np.ndarray) -> float:
     """Normalized Amari error of an estimate against the true mixing matrix.
 
     Zero exactly on scaled column permutations of the truth; grows with
     cross-talk. The estimate must be invertible (condition number below
-    ``cond_limit``).
+    AMARI_COND_LIMIT).
     """
     est = linalg.as_matrix(estimate, "estimate")
     mixing = linalg.as_matrix(mixing, "mixing")
     if est.shape != mixing.shape or est.shape[0] != est.shape[1]:
         raise InvalidInputError("estimate and mixing must be square and equal-shaped")
-    if np.linalg.cond(est) > cond_limit:
+    if np.linalg.cond(est) > AMARI_COND_LIMIT:
         raise IllConditionedError("estimate is numerically singular")
     ratios = np.abs(np.linalg.solve(est, mixing))
     rows = ratios.sum(axis=1) / ratios.max(axis=1)

@@ -95,17 +95,13 @@ def _run_karcher_mean(args) -> int:
                       grad_tol=args.grad_tol, max_iter=args.max_iter)
     try:
         point, trace = karcher_mean(problem, config=config)
-    except CutLocusError as err:
+    except GrassmeanError as err:
         if err.trace is not None:
             write_trace_csv(trace_path, err.trace)
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CUT_LOCUS
-    except GrassmeanError as err:
-        trace = getattr(err, "trace", None)
-        if trace is not None:
-            write_trace_csv(trace_path, trace)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED if trace is not None else EXIT_USAGE
+        if isinstance(err, CutLocusError):
+            return EXIT_CUT_LOCUS
+        return EXIT_NOT_CONVERGED if err.trace is not None else EXIT_USAGE
     write_trace_csv(trace_path, trace)
     write_subspace_file(args.out, [basis_from_projector(point)])
     last = trace.iterates[-1]

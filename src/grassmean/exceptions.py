@@ -2,9 +2,15 @@
 
 
 class GrassmeanError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A failure of the mean solver carries its partial ``trace`` and the index
+    of its ``problem`` in the batch; column-wise averaging names the
+    ``column``.
+    """
 
     status = None  # typed failures set their name in solver traces and result rows
+    trace = problem = column = None
 
 
 class InvalidInputError(GrassmeanError, ValueError):
@@ -22,18 +28,15 @@ class CutLocusError(GrassmeanError):
     connecting geodesic is not unique.
 
     ``index`` identifies the offending datum when raised from a multi-point
-    computation and ``column`` the offending column in column-wise averaging.
-    The mean solver attaches its partial ``trace`` before re-raising.
+    computation.
     """
 
     status = "cut_locus"
 
     def __init__(self, message="a datum is at the cut locus of the evaluation point",
-                 index=None, column=None):
+                 index=None):
         super().__init__(message)
         self.index = index
-        self.column = column
-        self.trace = None
 
 
 class NotDescentDirectionError(GrassmeanError):

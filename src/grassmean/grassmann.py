@@ -170,15 +170,14 @@ class TangentVector:
         return f"TangentVector(n={self.base.dim}, m={self.base.rank}, norm={self.norm():.3e})"
 
 
-def require_anchored(vector: TangentVector, point: GrassmannPoint,
-                     tol: float = BASE_MATCH_TOL) -> None:
-    """Reject ``vector`` unless its base is ``point`` to within ``tol``."""
+def require_anchored(vector: TangentVector, point: GrassmannPoint) -> None:
+    """Reject ``vector`` unless its base is ``point`` to within BASE_MATCH_TOL."""
     if vector.base is point:
         return
     if vector.base.dim != point.dim or vector.base.rank != point.rank:
         raise InvalidInputError("tangent vector lives on a different Grassmannian")
     gap = np.linalg.norm(vector.base.matrix - point.matrix)
-    if gap > tol:
+    if gap > BASE_MATCH_TOL:
         raise InvalidInputError(f"tangent vector is not anchored at the point (gap {gap:.3e})")
 
 
@@ -340,8 +339,7 @@ def _overlap_svd(square: np.ndarray, vectors: bool):
     return square / np.maximum(cos, _TINY)[..., np.newaxis], cos, np.ones_like(square)
 
 
-def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
-                      x2: np.ndarray = None):
+def _principal_angles(x: np.ndarray, ys: np.ndarray, x2: np.ndarray = None):
     """Principal angles between span(x) and each span(ys[i]), and their logs.
 
     ``x`` is an orthonormal n-by-m basis and ``ys`` a stack (N, n, m) of them;
@@ -353,8 +351,7 @@ def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
     Y_i^H X2, an m-by-(n-m) matrix: the top-right block, in the frame [X X2],
     of sum_i log_X(span Y_i) (Edelman, Arias & Smith 1998); and, per problem,
     the index of the worst datum whose smallest squared cosine is at most
-    ``cut_tol`` or -1 where none is, or a plain -1 when no problem has one
-    (always when ``cut_tol`` is None).
+    CUT_LOCUS_TOL, or -1 where none is.
     """
     *batch, count, n, m = ys.shape
     cols = x if x2 is None else np.concatenate([x, x2], axis=-1)
@@ -365,11 +362,8 @@ def _principal_angles(x: np.ndarray, ys: np.ndarray, cut_tol: float = None,
     else:
         left, cos, right_h = _overlap_svd(over[..., :m], True)
     cos = np.minimum(cos, 1.0)
-    cut = -1
-    if cut_tol is not None:
-        low = cos[..., -1] ** 2
-        if low.min() <= cut_tol:
-            cut = np.where(low.min(axis=-1) <= cut_tol, low.argmin(axis=-1), -1)
+    low = cos[..., -1] ** 2
+    cut = np.where(low.min(-1) <= CUT_LOCUS_TOL, low.argmin(-1), -1)
     angles = np.arccos(cos)
     if x2 is None:
         return angles, None, cut
@@ -395,19 +389,18 @@ def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
     return float(np.sqrt(2.0 * np.sum(angles * angles)))
 
 
-def log(point: GrassmannPoint, target: GrassmannPoint,
-        cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
+def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     """Inverse exponential: the tangent at ``point`` whose exp is ``target``.
 
     Requires all principal angles strictly below pi/2 (smallest squared cosine
-    above ``cut_tol``), otherwise CutLocusError.
+    above CUT_LOCUS_TOL), otherwise CutLocusError.
     """
     _require_same_space(point, target)
     m = point.rank
     frame = _frame(point)
     x, x2 = frame[:, :m], frame[:, m:]
     y = _frame(target)[:, :m]
-    _, block, cut = _principal_angles(x, y[np.newaxis], cut_tol, x2)
+    _, block, cut = _principal_angles(x, y[np.newaxis], x2)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     return TangentVector(point, _tangent_matrix(x, x2, block))

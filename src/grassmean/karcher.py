@@ -13,7 +13,6 @@ step. Projector objects are built only for the result and the callback.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -29,7 +28,6 @@ from .exceptions import (
     NotDescentDirectionError,
 )
 from .grassmann import (
-    CUT_LOCUS_TOL,
     GrassmannPoint,
     StiefelBasis,
     TangentVector,
@@ -185,21 +183,20 @@ def _cost(angles: np.ndarray) -> np.ndarray:
     return 2.0 * (angles * angles).sum(axis=(-2, -1)) / angles.shape[-2]
 
 
-def karcher_cost(problem: KarcherProblem, point: GrassmannPoint,
-                 cut_tol: float = CUT_LOCUS_TOL) -> float:
+def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
     """Mean squared geodesic distance from ``point`` to the problem data.
 
     Raises CutLocusError (with the datum index) if ``point`` leaves the
     injectivity domain of some datum.
     """
     angles, _, cut = _principal_angles(_frame_of(problem, point)[:, :point.rank],
-                                       problem.bases, cut_tol)
+                                       problem.bases)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     return float(_cost(angles))
 
 
-def _evaluate(bases: np.ndarray, frame: np.ndarray, cut_tol: float = CUT_LOCUS_TOL):
+def _evaluate(bases: np.ndarray, frame: np.ndarray):
     """Angles, cost, residual block and cut-locus index at ``frame``, from one kernel call.
 
     The residual, minus the summed data logs, is N/2 times the gradient of
@@ -208,15 +205,14 @@ def _evaluate(bases: np.ndarray, frame: np.ndarray, cut_tol: float = CUT_LOCUS_T
     one datum.
     """
     m = bases.shape[-1]
-    angles, block, cut = _principal_angles(frame[..., :m], bases, cut_tol, frame[..., m:])
+    angles, block, cut = _principal_angles(frame[..., :m], bases, frame[..., m:])
     return angles, _cost(angles), -block, cut
 
 
-def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint,
-                     cut_tol: float = CUT_LOCUS_TOL) -> TangentVector:
+def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
     frame, m = _frame_of(problem, point), problem.rank
-    _, _, block, cut = _evaluate(problem.bases, frame, cut_tol)
+    _, _, block, cut = _evaluate(problem.bases, frame)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:],
@@ -255,8 +251,7 @@ def _at_noise_floor(decrease: float, value0: float) -> bool:
     return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
 
-def _newton_step(bases: np.ndarray, frame: np.ndarray, block: np.ndarray,
-                 angles: np.ndarray, domain_tol: float = NEWTON_DOMAIN_TOL):
+def _newton_step(bases: np.ndarray, frame: np.ndarray, block: np.ndarray, angles: np.ndarray):
     """Newton step sizes along the tangent blocks d = ``block`` in ``frame``, rank one.
 
     Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With the overlaps
@@ -265,14 +260,14 @@ def _newton_step(bases: np.ndarray, frame: np.ndarray, block: np.ndarray,
     ``angles`` are the kernel's (N, 1) principal angles at ``frame``, and
     leading axes are a batch. Returns the steps -F'(0) / |F''(0)| and a list
     of None or each problem's error: DomainError unless every lambda_i is
-    inside (domain_tol, 1 - domain_tol), else DegenerateCurvatureError. A
-    failed problem's step is 0.
+    inside (NEWTON_DOMAIN_TOL, 1 - NEWTON_DOMAIN_TOL), else
+    DegenerateCurvatureError. A failed problem's step is 0.
     """
     ahead = frame[..., 1:] @ block.conj().swapaxes(-1, -2)
     over = bases[..., 0].conj() @ np.concatenate([frame[..., :1], ahead], axis=-1)
     prod = over[..., :1].conj() * over  # |c_i|^2 and conj(c_i) e_i
     lam, lam_d, e = prod[..., 0].real, 2.0 * prod[..., 1].real, over[..., 1]
-    outside = ((lam <= domain_tol) | (lam >= 1.0 - domain_tol)).any(axis=-1)
+    outside = ((lam <= NEWTON_DOMAIN_TOL) | (lam >= 1.0 - NEWTON_DOMAIN_TOL)).any(axis=-1)
     speed = _metric(block, block)  # the squared norm 2 |d|^2
     lam_dd = 2.0 * (e * e.conj()).real - lam * speed[..., np.newaxis]
     with np.errstate(invalid="ignore", divide="ignore"):  # outside the domain
@@ -293,8 +288,7 @@ def _newton_step(bases: np.ndarray, frame: np.ndarray, block: np.ndarray,
 
 
 def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
-                   direction: TangentVector,
-                   domain_tol: float = NEWTON_DOMAIN_TOL) -> float:
+                   direction: TangentVector) -> float:
     """Newton step size along ``direction`` on projective space (rank one)."""
     if problem.rank != 1:
         raise InvalidInputError("the Newton step rule requires rank-one subspaces")
@@ -302,7 +296,7 @@ def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
     require_anchored(direction, point)
     angles, _, _ = _principal_angles(frame[:, :1], problem.bases)
     step, (error,) = _newton_step(problem.bases, frame,
-                                  _tangent_block(frame, 1, direction.matrix), angles, domain_tol)
+                                  _tangent_block(frame, 1, direction.matrix), angles)
     if error is not None:
         raise error
     return float(step)
@@ -325,13 +319,14 @@ def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
 
     The arguments are tangent blocks in one frame; transport along the
     geodesic leaves blocks unchanged, so old blocks are transported ones. A
-    zero denominator or a non-finite ratio falls back to 0. Blocks with
-    leading batch axes give a list of (coefficient, fallback) pairs.
+    zero denominator or a non-finite ratio falls back to 0. Returns arrays of
+    coefficients and fallback flags over the blocks' leading axes.
     """
     num, den = _CONJUGATE[rule](grad_new, grad_new - grad_old, grad_old, dir_old)
-    pairs = [(n / d, False) if d != 0.0 and math.isfinite(n / d) else (0.0, True)
-             for n, d in zip(num.reshape(-1).tolist(), den.reshape(-1).tolist())]
-    return pairs if num.ndim else pairs[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = num / den
+    fallback = ~np.isfinite(coeff)  # a zero denominator gives inf or nan
+    return np.where(fallback, 0.0, coeff), fallback
 
 
 def _anchor_frame(problem: KarcherProblem) -> np.ndarray:
@@ -429,8 +424,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 for k in range(size) if backtrack else ():
 
                     def line_value(a):
-                        trial, _, cut = _principal_angles(
-                            np.linalg.qr(path(a)[k])[0], bases[k], CUT_LOCUS_TOL)
+                        trial, _, cut = _principal_angles(np.linalg.qr(path(a)[k])[0], bases[k])
                         return np.inf if cut >= 0 else float(_cost(trial))
 
                     while not noise_floor[k]:
@@ -460,15 +454,15 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
         if iteration == 0 or periodic:
             fallback, new_direction = [False] * size, -new_grad
         else:
-            coeff, fallback = zip(*_coefficient(config.direction_rule, new_grad, grad, direction))
-            new_direction = -new_grad + np.array(coeff)[:, np.newaxis, np.newaxis] * direction
+            coeff, fallback = _coefficient(config.direction_rule, new_grad, grad, direction)
+            new_direction = -new_grad + coeff[:, np.newaxis, np.newaxis] * direction
         rule = "init" if iteration == 0 else config.direction_rule
-        for k, i in enumerate(cut.tolist() if np.ndim(cut) else [cut] * size):
+        for k, i in enumerate(cut.tolist()):
             errors[k] = errors[k] or (CutLocusError(index=i) if i >= 0 else None)
             if errors[k]:
                 failed[ids[k]] = errors[k]
                 continue
-            sd = periodic or fallback[k]
+            sd = periodic or bool(fallback[k])
             traces[ids[k]].iterates.append(CGIterate(
                 iteration, new_cost[k], new_gnorm[k], steps[k], "sd" if sd else rule,
                 sd or forced[k], capped[k]))

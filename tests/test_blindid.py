@@ -39,6 +39,15 @@ def unit_columns(mat):
     return mat / np.linalg.norm(mat, axis=0)
 
 
+def near_estimates(seed, count):
+    """``count`` unit-column 5x5 estimates, each a small perturbation of one reference."""
+    rng = np.random.default_rng(seed)
+    ref = unit_columns(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    return EstimateSet(np.stack([
+        unit_columns(ref + 0.05 * (rng.standard_normal((5, 5))
+                                   + 1j * rng.standard_normal((5, 5)))) for _ in range(count)]))
+
+
 def test_experiment_config_validation():
     with pytest.raises(InvalidInputError):
         MixingExperiment(n=1)
@@ -186,6 +195,10 @@ def test_estimate_set_validation():
         EstimateSet(np.ones((2, 3)))
     with pytest.raises(InvalidInputError):
         EstimateSet(2.0 * np.stack([np.eye(3)]))
+    with pytest.raises(InvalidInputError):
+        EstimateSet(np.zeros((0, 3, 3)))
+    with pytest.raises(InvalidInputError):
+        EstimateSet(np.zeros((2, 0, 0)))
     stack = EstimateSet(np.stack([np.eye(3), np.eye(3)]))
     assert stack.count == 2 and stack.n == 3
     proj = projector_from_basis(StiefelBasis(stack.matrices[0][:, 1:2]))
@@ -211,12 +224,7 @@ def test_estimate_set_checks_columns_as_bases():
 
 
 def test_average_karcher_splits_the_column_stack_once(monkeypatch):
-    rng = np.random.default_rng(13)
-    ref = unit_columns(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    aligned = EstimateSet(np.stack([
-        unit_columns(ref + 0.05 * (rng.standard_normal((5, 5))
-                                   + 1j * rng.standard_normal((5, 5))))
-        for _ in range(10)]))
+    aligned = near_estimates(13, 10)
     built = []
     original = StiefelBasis.__post_init__
     monkeypatch.setattr(StiefelBasis, "__post_init__",
@@ -496,11 +504,7 @@ def test_average_karcher_solves_every_column_in_one_call(monkeypatch):
         return karcher_mean(problem, **kwargs)
 
     monkeypatch.setattr(blindid, "karcher_mean", counted)
-    rng = np.random.default_rng(14)
-    ref = unit_columns(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    aligned = EstimateSet(np.stack([
-        unit_columns(ref + 0.05 * (rng.standard_normal((5, 5))
-                                   + 1j * rng.standard_normal((5, 5)))) for _ in range(7)]))
+    aligned = near_estimates(14, 7)
     means = average_karcher(aligned)
     assert calls == [(5, 7, 5, 1)]
     for j, point in enumerate(means):
@@ -519,3 +523,28 @@ def test_average_karcher_names_the_lowest_cut_column():
         average_karcher(EstimateSet(np.stack([eye, eye[:, [0, 2, 1]]])))
     assert info.value.column == 1 and info.value.index == 1
     assert str(info.value).startswith("column 1: ")
+    assert info.value.trace.status == "cut_locus"
+
+
+def test_average_karcher_names_a_column_that_stops_with_another_failure(monkeypatch):
+    # column 2 alone fails its first Newton step; the solver's own error is
+    # raised, naming the column and keeping its partial trace
+    newton_step = karcher._newton_step
+    calls = []
+
+    def failing(*args):
+        step, errors = newton_step(*args)
+        if not calls:
+            errors[2] = DegenerateCurvatureError("forced failure")
+        calls.append(len(errors))
+        return step, errors
+
+    monkeypatch.setattr(karcher, "_newton_step", failing)
+    aligned = near_estimates(15, 7)
+    with pytest.raises(DegenerateCurvatureError) as info:
+        average_karcher(aligned)
+    assert calls[0] == 5
+    assert info.value.column == 2 and info.value.status == "degenerate_curvature"
+    assert str(info.value) == "column 2: forced failure"
+    assert info.value.trace.status == "degenerate_curvature"
+    assert info.value.trace.iterations == 0 and len(info.value.trace.iterates) == 1

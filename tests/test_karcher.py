@@ -124,9 +124,9 @@ def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     calls = {"frame": 0, "basis": 0}
     kernel = karcher._principal_angles
 
-    def counted(x, ys, cut_tol=None, x2=None):
+    def counted(x, ys, x2=None):
         calls["basis" if x2 is None else "frame"] += 1
-        return kernel(x, ys, cut_tol, x2)
+        return kernel(x, ys, x2)
 
     trials = []
     search = karcher.backtracking_step
@@ -401,6 +401,13 @@ def test_direction_coefficient_degenerate_fallback():
     for rule in ("hs", "dy"):
         coeff, fallback = _coefficient(rule, u, u, -u)
         assert coeff == 0.0 and fallback
+    # a batch of one degenerate and one healthy problem (G_old = 2u, as in
+    # the flat case) falls back only where the denominator vanishes
+    for rule, expected in (("hs", -0.5), ("dy", 0.5)):
+        coeff, fallback = _coefficient(rule, np.stack([u, u]), np.stack([u, 2.0 * u]),
+                                       np.stack([-u, -2.0 * u]))
+        assert coeff[0] == 0.0 and abs(coeff[1] - expected) < 1e-12
+        assert fallback.tolist() == [True, False]
 
 
 def test_two_point_mean_is_midpoint():
@@ -741,7 +748,7 @@ def test_the_readers_stack_is_copied_once_in_order():
     assert np.array_equal(KarcherProblem(mixed).bases, stack)
 
 
-def test_cost_and_gradient_skip_the_cut_locus_check_without_a_tolerance():
+def test_cost_and_gradient_raise_at_the_cut_locus():
     line, across = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
     problem = KarcherProblem((StiefelBasis(across),))
     at = projector_from_basis(line)
@@ -749,5 +756,3 @@ def test_cost_and_gradient_skip_the_cut_locus_check_without_a_tolerance():
         karcher_cost(problem, at)
     with pytest.raises(CutLocusError):
         karcher_gradient(problem, at)
-    assert abs(karcher_cost(problem, at, cut_tol=None) - np.pi ** 2 / 2) < 1e-12
-    assert np.isfinite(karcher_gradient(problem, at, cut_tol=None).matrix).all()

@@ -3,15 +3,15 @@ subspace averaging.
 
 Noncircular complex sources are mixed through a randomly perturbed matrix;
 each batch of observations yields one estimate of the mixing matrix through
-the strong uncorrelating transform (whitening followed by a Takagi
-factorization of the whitened pseudo-covariance). That transform needs only
-the observations' covariance and pseudo-covariance, so a benchmark trial
-takes them from its sources' second moments instead of mixing the samples;
-``mix`` and ``sut_estimate`` remain the public sample route. Estimated
-columns, viewed as lines in C^n, are then combined across batches either by
-Karcher averaging on projective space or by phase-aligned Euclidean
-averaging, and judged by the normalized Amari error against the true mixing
-matrix.
+the strong uncorrelating transform (whitening, then a Takagi factorization
+of the whitened pseudo-covariance, both from numpy eigendecompositions). It
+needs only the observations' covariance and pseudo-covariance, so a trial
+takes them from its sources' second moments and transforms its batches as
+one stack; ``mix`` and ``sut_estimate`` remain the public sample route.
+Estimated columns, viewed as lines in C^n, are then combined across batches
+either by Karcher averaging on projective space or by phase-aligned
+Euclidean averaging, and judged by the normalized Amari error against the
+true mixing matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from . import linalg
 
 COND_LIMIT = 1e10
 AMARI_COND_LIMIT = 1e12
-TAKAGI_GROUP_TOL = 1e-8
 CIRCULARITY_GAP_TOL = 1e-3
 MIN_SAMPLES_PER_SOURCE = 10
 
@@ -144,10 +143,15 @@ def mix(mixing: np.ndarray, perturbation: np.ndarray, noise_level: float,
 def takagi(matrix: np.ndarray):
     """Takagi factorization M = U diag(s) U^T of a complex symmetric matrix.
 
-    Built on the SVD: the unitary linking the left and right singular bases
-    is block diagonal over groups of singular values equal to within
-    TAKAGI_GROUP_TOL (relative) and symmetric there, so its principal square
-    root merges the two bases. Returns (s, U) with s descending and U unitary.
+    With M = A + iC, the real symmetric embedding B = [[A, C], [C, -A]] has
+    eigenvalues +-s_k, and a unit eigenvector [x; y] for +s gives u = x + iy
+    with M conj(u) = s u. B anticommutes with J = [[0, -I], [I, 0]], which
+    maps the +s eigenspace onto the -s one, so the top n eigenvectors give
+    orthonormal u even where an s > 0 repeats. Values at or below the rank
+    cut 2n eps s_max are zeros. Their null space of B does not split that
+    way, so the QR factor of [u_1 .. u_n] completes those columns from the
+    nonzero part and keeps the others, phases included. Returns (s, U) with
+    s descending and nonnegative and U unitary.
     """
     mat = linalg.as_matrix(matrix, "matrix")
     if mat.shape[0] != mat.shape[1]:
@@ -156,23 +160,14 @@ def takagi(matrix: np.ndarray):
 
 
 def _takagi(sym: np.ndarray):
-    """``takagi`` of an exactly symmetric square matrix, unvalidated."""
-    left, vals, right_h = np.linalg.svd(sym)
-    link = left.conj().T @ right_h.T
-    scale = max(vals[0], 1.0)
-    # Groups are contiguous index ranges; each gap is measured from the
-    # start of its group. group[k] is the first index of k's group.
-    group = np.zeros(len(vals), dtype=int)
-    for k in range(1, len(vals)):
-        group[k] = group[k - 1] if vals[group[k - 1]] - vals[k] <= TAKAGI_GROUP_TOL * scale else k
-    blocks = np.where(group[:, None] == group[None, :], link, 0.0)
-    blocks = 0.5 * (blocks + blocks.T)
-    zero = group[-1]
-    if vals[zero] <= TAKAGI_GROUP_TOL * scale:
-        # the null space has no phase to merge; any unitary block will do
-        blocks[zero:, zero:] = np.eye(len(vals) - zero)
-    import scipy.linalg  # the package's one scipy call, loaded on first use
-    return vals, left @ scipy.linalg.sqrtm(blocks)
+    """``takagi`` of a stack (..., n, n) of exactly symmetric matrices, unvalidated."""
+    n = sym.shape[-1]
+    vals, vecs = np.linalg.eigh(np.block([[sym.real, sym.imag], [sym.imag, -sym.real]]))
+    vals, vecs = vals[..., :n - 1:-1], vecs[..., :n - 1:-1]
+    vals = np.where(vals > 2 * n * np.finfo(float).eps * vals[..., :1], vals, 0.0)
+    unitary, tri = np.linalg.qr(vecs[..., :n, :] + 1j * vecs[..., n:, :])
+    phase = np.exp(1j * np.angle(np.diagonal(tri, axis1=-2, axis2=-1)))
+    return vals, unitary * phase[..., np.newaxis, :]
 
 
 def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray) -> np.ndarray:
@@ -193,23 +188,30 @@ def sut_from_covariances(cov: np.ndarray, pseudo_cov: np.ndarray) -> np.ndarray:
 
 
 def _sut(cov: np.ndarray, pseudo: np.ndarray) -> np.ndarray:
-    """``sut_from_covariances`` on finite, equal-shaped square inputs, unvalidated.
+    """``sut_from_covariances`` on finite, equal-shaped stacks (..., n, n), unvalidated.
 
     Only the lower triangle of ``cov`` is read.
     """
     vals, vecs = np.linalg.eigh(cov)
-    if vals[0] <= 0 or vals[-1] / vals[0] > COND_LIMIT:
-        raise IllConditionedError("covariance is numerically singular")
-    whiten = (vecs * vals ** -0.5) @ vecs.conj().T
-    color = (vecs * vals ** 0.5) @ vecs.conj().T
-    sym = whiten @ pseudo @ whiten.T
-    spectrum, rotor = _takagi(0.5 * (sym + sym.T))
-    if len(spectrum) > 1 and np.min(np.abs(np.diff(spectrum))) < CIRCULARITY_GAP_TOL:
-        warnings.warn("estimated circularity coefficients nearly coincide; "
+    singular = (vals[..., 0] <= 0) | (vals[..., -1] > COND_LIMIT * vals[..., 0])
+    if singular.any():
+        raise IllConditionedError(_lowest(singular) + "covariance is numerically singular")
+    whiten = (vecs * vals[..., np.newaxis, :] ** -0.5) @ vecs.conj().mT
+    color = (vecs * vals[..., np.newaxis, :] ** 0.5) @ vecs.conj().mT
+    sym = whiten @ pseudo @ whiten.mT
+    spectrum, rotor = _takagi(0.5 * (sym + sym.mT))
+    close = np.any(np.abs(np.diff(spectrum)) < CIRCULARITY_GAP_TOL, axis=-1)
+    if close.any():
+        warnings.warn(_lowest(close) + "estimated circularity coefficients nearly coincide; "
                       "column identification is unreliable", AmbiguousModelWarning,
                       stacklevel=3)
     estimate = color @ rotor
-    return estimate / np.linalg.norm(estimate, axis=0)
+    return estimate / np.linalg.norm(estimate, axis=-2, keepdims=True)
+
+
+def _lowest(flags: np.ndarray) -> str:
+    """Message prefix naming the lowest flagged estimate of a stack; empty for one."""
+    return f"estimate {np.flatnonzero(flags)[0]}: " if flags.ndim else ""
 
 
 def sut_estimate(observations: np.ndarray) -> np.ndarray:
@@ -218,9 +220,7 @@ def sut_estimate(observations: np.ndarray) -> np.ndarray:
     n, count = obs.shape
     if count < MIN_SAMPLES_PER_SOURCE * n:
         raise InvalidInputError(f"need at least {MIN_SAMPLES_PER_SOURCE * n} samples")
-    cov = obs @ obs.conj().T / count
-    pseudo = obs @ obs.T / count
-    return _sut(cov, pseudo)
+    return _sut(obs @ obs.conj().T / count, obs @ obs.T / count)
 
 
 def _source_moments(sources: np.ndarray):
@@ -336,24 +336,24 @@ SWEEP_PARAMS = ("noise_level", "n_estimations")
 def _trial_estimates(cfg: MixingExperiment, rng):
     """A trial's true mixing matrix and its (n_estimations, n, n) SUT estimates.
 
-    Each estimate is the SUT of the observations (A + eps Z) s. Their
-    covariance and pseudo-covariance are the sources' second moments carried
-    through M = A + eps Z, so the observations themselves are never formed.
+    Each estimate is the SUT of the observations (A + eps Z) s, from the
+    sources' second moments carried through M = A + eps Z; the observations
+    are never formed, and one ``_sut`` call transforms the whole stack.
     The random draws, and their order, are those of the sample route
     ``generate_sources`` -> ``mix`` -> ``sut_estimate``.
     """
     n = cfg.n
     mixing = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    estimates = np.empty((cfg.n_estimations, n, n), dtype=complex)
+    covs, pseudos = np.empty((2, cfg.n_estimations, n, n), dtype=complex)
     for i in range(cfg.n_estimations):
         perturbation = (rng.uniform(-0.5, 0.5, (n, n))
                         + 1j * rng.uniform(-0.5, 0.5, (n, n)))
         sources = generate_sources(n, cfg.samples_per_trial, rng)
         source_cov, source_pseudo = _source_moments(sources)
         mixer = mixing + cfg.noise_level * perturbation
-        estimates[i] = _sut(mixer @ source_cov @ mixer.conj().T,
-                            mixer @ source_pseudo @ mixer.T)
-    return mixing, estimates
+        covs[i] = mixer @ source_cov @ mixer.conj().T
+        pseudos[i] = mixer @ source_pseudo @ mixer.T
+    return mixing, _sut(covs, pseudos)
 
 
 def _run_trial(cfg: MixingExperiment, rng, cg_config: CGConfig):

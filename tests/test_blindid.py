@@ -145,6 +145,50 @@ def test_takagi_two_degenerate_pairs_and_a_simple_value():
     assert np.linalg.norm(recon - sym) < 1e-9
 
 
+def assert_takagi(sym, vals, factor, tol=1e-12):
+    # s descending, nonnegative and the singular values; U unitary; U diag(s) U^T = S
+    n = sym.shape[0]
+    scale = max(1.0, np.linalg.norm(sym))
+    assert np.all(np.diff(vals) <= 0) and np.all(vals >= 0)
+    np.testing.assert_allclose(vals, np.linalg.svd(sym, compute_uv=False), rtol=0,
+                               atol=tol * scale)
+    assert np.linalg.norm(factor.conj().T @ factor - np.eye(n)) < tol
+    assert np.linalg.norm(factor @ np.diag(vals) @ factor.T - sym) < tol * scale
+
+
+@pytest.mark.parametrize("vals", [(2.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0,) * 4])
+def test_takagi_completes_a_repeated_zero_spectrum(vals):
+    # circular sources give repeated zero values, whose null space of the
+    # real embedding does not split into a unitary block by itself
+    u = random_unitary(4, np.random.default_rng(14))
+    sym = u @ np.diag(vals) @ u.T
+    got_vals, factor = takagi(sym)
+    assert_takagi(sym, got_vals, factor)
+    assert np.all(got_vals[np.array(vals) == 0.0] == 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_takagi_of_repeated_and_zero_values(data):
+    # n <= 8 with values drawn from a few levels, so repeats (zeros
+    # included) are frequent; a stack factors as its matrices do one by one
+    n = data.draw(st.integers(1, 8), label="n")
+    levels = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0]),
+                                min_size=1, max_size=3), label="levels")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stack = []
+    for _ in range(3):
+        vals = np.sort(rng.choice(levels, n))[::-1]
+        u = random_unitary(n, rng)
+        stack.append(u @ np.diag(vals) @ u.T)
+        got_vals, factor = takagi(stack[-1])
+        assert_takagi(stack[-1], got_vals, factor)
+    stack = np.stack(stack)
+    got_vals, factors = blindid._takagi(0.5 * (stack + stack.mT))
+    for sym, vals, factor in zip(stack, got_vals, factors):
+        assert_takagi(sym, vals, factor)
+
+
 def test_sut_identity_case_from_population_covariances():
     # A = I with exact moments: the estimate must be I up to phase and
     # permutation, which the Amari error quotients out
@@ -188,6 +232,26 @@ def test_sut_rejects_singular_covariance():
 def test_sut_warns_on_near_equal_circularity():
     with pytest.warns(AmbiguousModelWarning):
         sut_from_covariances(np.eye(2), np.diag([0.5, 0.5 + 1e-4]))
+
+
+def test_sut_of_a_stack_names_the_lowest_offending_estimate():
+    rng = np.random.default_rng(15)
+    theta = (np.arange(1, 4) / 4) * (np.pi / 4)
+    mixers = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    covs = mixers @ mixers.conj().mT
+    pseudos = mixers @ (np.cos(2 * theta)[:, None] * mixers.mT)
+    stacked = blindid._sut(covs, pseudos)
+    for cov, pseudo, estimate in zip(covs, pseudos, stacked):
+        np.testing.assert_allclose(estimate, sut_from_covariances(cov, pseudo), atol=1e-12)
+    singular = covs.copy()
+    singular[[3, 4]] = np.diag([1.0, 1.0, 1e-12])
+    with pytest.raises(IllConditionedError, match=r"^estimate 3: covariance is numerically singular$"):
+        blindid._sut(singular, pseudos)
+    close = pseudos.copy()
+    close[[2, 4]] = mixers[[2, 4]] @ (np.array([0.5, 0.5 + 1e-4, 0.1])[:, None]
+                                       * mixers[[2, 4]].mT)
+    with pytest.warns(AmbiguousModelWarning, match=r"^estimate 2: estimated circularity"):
+        blindid._sut(covs, close)
 
 
 def test_estimate_set_validation():

@@ -221,28 +221,36 @@ _SCIPY_FREE_RUN = textwrap.dedent("""
     import sys
     import numpy as np
     import grassmean, grassmean.cli
-    cloud, pair, out = sys.argv[1:]
+
+    def scipy_loaded():
+        return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+    cloud, pair, out, rows = sys.argv[1:]
     assert grassmean.cli.main(["karcher-mean", cloud, "--out", out]) == 0
     assert grassmean.cli.main(["distance", pair]) == 0
-    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-    assert not loaded, loaded
+    assert not scipy_loaded(), scipy_loaded()
     rng = np.random.default_rng(5)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     sym = z + z.T
     vals, unitary = grassmean.takagi(sym)
     assert np.linalg.norm(unitary @ np.diag(vals) @ unitary.T - sym) < 1e-12
     assert np.linalg.norm(unitary.conj().T @ unitary - np.eye(4)) < 1e-12
-    assert "scipy.linalg" in sys.modules
+    assert not scipy_loaded(), scipy_loaded()
+    assert grassmean.cli.main(["bi-experiment", "--n", "3", "--eps-list", "0.5",
+                               "--nest-list", "2", "--trials", "2", "--samples", "500",
+                               "--seed", "7", "--out", rows]) == 0
+    assert not scipy_loaded(), scipy_loaded()
 """)
 
 
 def test_import_and_file_commands_leave_scipy_unloaded(tmp_path):
-    # a fresh interpreter: the package, karcher-mean and distance are
-    # numpy-only, and the Takagi step loads scipy when first called
+    # a fresh interpreter: the package, karcher-mean, distance, takagi and
+    # bi-experiment are numpy-only
     cloud, pair = cloud_file(tmp_path), cp1_file(tmp_path, 0.3)
     src = Path(grassmean.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n"
-         + _SCIPY_FREE_RUN, str(cloud), str(pair), str(tmp_path / "mean.json")],
+         + _SCIPY_FREE_RUN, str(cloud), str(pair), str(tmp_path / "mean.json"),
+         str(tmp_path / "rows.csv")],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -44,8 +44,8 @@ class MixingExperiment:
     """Configuration of one benchmark sweep.
 
     Every field is checked here, once: the counts and the seed must be
-    integers and the noise level finite, so the trials that follow run
-    unvalidated.
+    integers (not bools) and the noise level finite, so the trials that
+    follow run unvalidated.
     """
 
     n: int = 5
@@ -57,7 +57,8 @@ class MixingExperiment:
 
     def __post_init__(self):
         for name in ("n", "n_estimations", "trials", "samples_per_trial", "rng_seed"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise InvalidInputError(f"{name} must be an integer")
         if self.n < 2:
             raise InvalidInputError("need at least two sources")
@@ -360,7 +361,7 @@ def _run_trial(cfg: MixingExperiment, rng, cg_config: CGConfig):
     mixing, estimates = _trial_estimates(cfg, rng)
     aligned = align_columns(EstimateSet(estimates))
     means = average_karcher(aligned, cg_config)
-    karcher_est = np.column_stack([_frame(p)[:, 0] for p in means])
+    karcher_est = _frame(np.array([p.matrix for p in means]), 1)[..., 0].T
     euclid_est = average_euclid(aligned)
     return amari_error(karcher_est, mixing), amari_error(euclid_est, mixing)
 

@@ -31,15 +31,22 @@ def _entry(value: complex) -> dict:
 
 
 def write_subspace_file(path, bases) -> None:
-    """Write orthonormal bases to ``path`` in the versioned JSON layout."""
+    """Write finite, tall bases of one shape to ``path`` in the versioned JSON layout.
+
+    An error names the lowest basis the reader would reject for its shape or
+    entries. Orthonormality is left to the reader, whose ``repair`` fixes it.
+    """
     mats = [b.matrix if isinstance(b, StiefelBasis) else np.asarray(b, dtype=complex)
             for b in bases]
     if not mats:
         raise InvalidInputError("need at least one basis to write")
+    for b, mat in enumerate(mats):
+        if mat.shape != mats[0].shape or mat.ndim != 2 or not 1 <= mat.shape[1] <= mat.shape[0]:
+            raise InvalidInputError(f"bases[{b}] has shape {mat.shape}; all bases must "
+                                    "share one tall n x m shape")
+        if not np.isfinite(mat).all():
+            raise InvalidInputError(f"bases[{b}] contains non-finite entries")
     n, m = mats[0].shape
-    for mat in mats:
-        if mat.shape != (n, m):
-            raise InvalidInputError("all bases must share one shape")
     payload = {
         "version": FORMAT_VERSION,
         "n": n,

@@ -195,12 +195,13 @@ def projector_from_basis(basis) -> GrassmannPoint:
     return _point(basis.matrix, basis.rank)
 
 
-def _frame(point: GrassmannPoint) -> np.ndarray:
-    """Unitary frame [X1 X2] of the (exactly Hermitian) projector: eigenvectors, range first."""
-    vals, vecs = np.linalg.eigh(point.matrix)
-    if vals[-point.rank] < 0.5:
+def _frame(proj: np.ndarray, m: int) -> np.ndarray:
+    """Unitary frames [X1 X2] of one exactly Hermitian rank-m projector or a stack
+    (..., n, n), from one ``eigh``: eigenvectors, range first; lower ranks are rejected."""
+    vals, vecs = np.linalg.eigh(proj)
+    if np.any(vals[..., -m] < 0.5):
         raise InvalidInputError("projector is rank deficient")
-    return np.ascontiguousarray(vecs[:, ::-1])
+    return np.ascontiguousarray(vecs[..., ::-1])
 
 
 def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
@@ -219,7 +220,7 @@ def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
 
 def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
     """Orthonormal basis of the projector's range (top eigenvectors)."""
-    return StiefelBasis(_frame(point)[:, :point.rank])
+    return StiefelBasis(_frame(point.matrix, point.rank)[:, :point.rank])
 
 
 def complete_frame(basis) -> np.ndarray:
@@ -258,9 +259,9 @@ def _tangent_block(frame: np.ndarray, m: int, matrix: np.ndarray) -> np.ndarray:
     return frame[:, :m].conj().T @ matrix @ frame[:, m:]
 
 
-def _tangent_matrix(x: np.ndarray, x2: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Hermitian matrix whose block in the frame [X X2] is [[0, B], [B^H, 0]]."""
-    half = x @ block @ x2.conj().T
+def _tangent_matrix(frame: np.ndarray, m: int, block: np.ndarray) -> np.ndarray:
+    """Hermitian matrix whose block in the frame [X1 X2] is [[0, B], [B^H, 0]]."""
+    half = frame[:, :m] @ block @ frame[:, m:].conj().T
     return half + half.conj().T
 
 
@@ -294,7 +295,7 @@ def _moved_frame(point: GrassmannPoint, velocity: TangentVector, t: float):
     if not np.isfinite(t):
         raise InvalidInputError("geodesic parameter must be finite")
     m = point.rank
-    frame = _frame(point)
+    frame = _frame(point.matrix, m)
     path = _geodesic(frame, m, _tangent_block(frame, m, velocity.matrix))
     return frame, path(float(t), full=True)
 
@@ -321,7 +322,7 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     point, m = vector.base, vector.base.rank
     frame, moved = _moved_frame(point, velocity, t)
     block = _tangent_block(frame, m, vector.matrix)
-    return TangentVector(_point(moved, m), _tangent_matrix(moved[:, :m], moved[:, m:], block))
+    return TangentVector(_point(moved, m), _tangent_matrix(moved, m, block))
 
 
 def _overlap_svd(square: np.ndarray, vectors: bool):
@@ -339,48 +340,46 @@ def _overlap_svd(square: np.ndarray, vectors: bool):
     return square / np.maximum(cos, _TINY)[..., np.newaxis], cos, np.ones_like(square)
 
 
-def _principal_angles(x: np.ndarray, ys: np.ndarray, x2: np.ndarray = None):
-    """Principal angles between span(x) and each span(ys[i]), and their logs.
+def _principal_angles(cols: np.ndarray, ys: np.ndarray, logs: bool):
+    """Principal angles between span(X) and each span(ys[i]), with overlaps and logs.
 
-    ``x`` is an orthonormal n-by-m basis and ``ys`` a stack (N, n, m) of them;
-    leading axes of both are a batch of independent problems. One GEMM forms
-    every overlap Y_i^H X (and Y_i^H X2 when the complement ``x2`` is given)
-    and one batched SVD factors them as L C R^H. Returns the angles
-    arccos(C), shape (N, m), ascending per datum; when ``x2`` is given (else
-    None), the sum over i of the log blocks R diag(theta / sin theta) L^H
-    Y_i^H X2, an m-by-(n-m) matrix: the top-right block, in the frame [X X2],
-    of sum_i log_X(span Y_i) (Edelman, Arias & Smith 1998); and, per problem,
-    the index of the worst datum whose smallest squared cosine is at most
-    CUT_LOCUS_TOL, or -1 where none is.
+    ``ys`` is an (N, n, m) stack of orthonormal bases and ``cols`` the caller's
+    array as it is: a basis X, or a unitary frame [X X2], which ``logs`` needs.
+    Leading axes of both are a batch of problems. One GEMM forms the overlaps
+    Y_i^H cols, and one batched SVD factors their first m columns, Y_i^H X, as
+    L C R^H. Returns the angles arccos(C), (N, m), ascending per datum; with
+    ``logs`` (else None) the sum over i of R diag(theta / sin theta) L^H Y_i^H X2,
+    the top-right block of sum_i log_X(span Y_i) in the frame [X X2] (Edelman,
+    Arias & Smith 1998); per problem, the worst datum whose smallest squared
+    cosine is at most CUT_LOCUS_TOL, or -1; and the overlaps, (N, m, n) for a frame.
     """
     *batch, count, n, m = ys.shape
-    cols = x if x2 is None else np.concatenate([x, x2], axis=-1)
     over = (ys.conj().swapaxes(-1, -2).reshape(*batch, count * m, n) @ cols).reshape(
         *batch, count, m, -1)
-    if x2 is None:
-        cos = _overlap_svd(over, False)
-    else:
+    if logs:
         left, cos, right_h = _overlap_svd(over[..., :m], True)
+    else:
+        cos = _overlap_svd(over[..., :m], False)
     cos = np.minimum(cos, 1.0)
     low = cos[..., -1] ** 2
     cut = np.where(low.min(-1) <= CUT_LOCUS_TOL, low.argmin(-1), -1)
     angles = np.arccos(cos)
-    if x2 is None:
-        return angles, None, cut
+    if not logs:
+        return angles, None, cut, over
     floored = np.maximum(angles, _TINY)  # theta / sin(theta) -> 1 at theta = 0
     right = right_h.conj().swapaxes(-1, -2) * (floored / np.sin(floored))[..., np.newaxis, :]
     coef = right @ left.conj().swapaxes(-1, -2)  # (N, m, m)
     # sum_i coef_i (Y_i^H X2) as one GEMM over the stacked (datum, column) index
     stacked = coef.swapaxes(-3, -2).reshape(*batch, m, count * m)
-    return angles, stacked @ over[..., m:].reshape(*batch, count * m, -1), cut
+    return angles, stacked @ over[..., m:].reshape(*batch, count * m, -1), cut, over
 
 
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
-    x = _frame(point)[:, :point.rank]
-    y = _frame(other)[:, :other.rank]
-    return _principal_angles(x, y[np.newaxis])[0][0]
+    m = point.rank
+    x, y = _frame(np.array([point.matrix, other.matrix]), m)[..., :m]
+    return _principal_angles(x, y[np.newaxis], False)[0][0]
 
 
 def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
@@ -397,10 +396,8 @@ def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     """
     _require_same_space(point, target)
     m = point.rank
-    frame = _frame(point)
-    x, x2 = frame[:, :m], frame[:, m:]
-    y = _frame(target)[:, :m]
-    _, block, cut = _principal_angles(x, y[np.newaxis], x2)
+    frame, other = _frame(np.array([point.matrix, target.matrix]), m)
+    _, block, cut, _ = _principal_angles(frame, other[np.newaxis, :, :m], True)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return TangentVector(point, _tangent_matrix(x, x2, block))
+    return TangentVector(point, _tangent_matrix(frame, m, block))

@@ -2,13 +2,14 @@
 
 The cost is the mean squared geodesic distance to a fixed set of subspaces,
 held as one (N, n, m) stack of orthonormal bases. One batched principal-angle
-kernel gives the cost (the squared angles) and the gradient (the summed logs
-of the data, as blocks in a unitary frame [X1 X2] of the current point). The
-solver carries that frame (Edelman, Arias & Smith 1998): a tangent vector is
-its m-by-(n-m) block, geodesics move the whole frame, and parallel transport
-leaves blocks unchanged. Direction rules are the classical conjugate ones;
-step sizes come from backtracking or, on projective space, an exact Newton
-step. Projector objects are built only for the result and the callback.
+kernel call per iterate gives the cost (the squared angles), the gradient (the
+summed logs of the data, as blocks in a unitary frame [X1 X2] of the current
+point) and the overlaps Y_i^H [X1 X2] that the Newton step reads. The solver
+carries that frame (Edelman, Arias & Smith 1998): a tangent vector is its
+m-by-(n-m) block, geodesics move the whole frame, and parallel transport leaves
+blocks unchanged. Direction rules are the classical conjugate ones; step sizes
+come from backtracking or, on projective space, an exact Newton step.
+Projector objects are built only for the result and the callback.
 """
 
 from __future__ import annotations
@@ -62,15 +63,14 @@ class CGConfig:
 
     Step scales are worked out, not set: backtracking starts at 1/N (see
     ``karcher_mean``), and the Newton rule, valid only for rank-one subspaces,
-    is capped at NEWTON_STEP_CAP. ``restart_period`` defaults to one less than
-    the real dimension of the manifold, 2m(n-m) - 1, when left unset.
+    is capped at NEWTON_STEP_CAP. Directions restart from steepest descent every
+    max(1, 2m(n-m) - 1) iterations, one less than the manifold's real dimension.
     """
 
     direction_rule: str = "hs"
     step_rule: str = "backtracking"
     grad_tol: float = 1e-8
     max_iter: int = 500
-    restart_period: int = None
 
     def __post_init__(self):
         if self.direction_rule not in DIRECTION_RULES:
@@ -79,11 +79,9 @@ class CGConfig:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
         if not 0 < self.grad_tol < np.inf:
             raise InvalidInputError("grad_tol must be positive and finite")
-        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral)
+                or self.max_iter < 1):
             raise InvalidInputError("max_iter must be an integer of at least 1")
-        period = 1 if self.restart_period is None else self.restart_period
-        if not isinstance(period, Integral) or period < 1:
-            raise InvalidInputError("restart_period must be an integer of at least 1")
 
 
 @dataclass
@@ -131,7 +129,7 @@ class KarcherProblem:
 
     ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
     validated when it was built. Types and shapes are checked as sets, and
-    projectors are reduced to bases by one batched ``eigh``. ``_stack`` is an
+    projectors are reduced to bases by one batched ``_frame``. ``_stack`` is an
     already-checked stack instead: (N, n, m), or (B, N, n, m) for a batch of B
     problems that ``karcher_mean`` solves together.
     """
@@ -153,12 +151,9 @@ def _stack_of(data: tuple) -> np.ndarray:
     if len({(mats[k].shape, data[k].rank) for k in points}) > 1:
         raise InvalidInputError("points live on different Grassmannians")
     if points:
-        n, m = mats[points[0]].shape[0], data[points[0]].rank
-        vals, vecs = np.linalg.eigh(np.array([mats[k] for k in points]))
-        if np.any(vals[:, n - m] < 0.5):
-            raise InvalidInputError("projector is rank deficient")
-        for k, basis in zip(points, vecs[:, :, ::-1][:, :, :m]):
-            mats[k] = basis
+        m = data[points[0]].rank
+        for k, frame in zip(points, _frame(np.array([mats[k] for k in points]), m)):
+            mats[k] = frame[:, :m]
     if len({mat.shape for mat in mats}) > 1:
         raise InvalidInputError("points live on different Grassmannians")
     stack = np.array(mats)
@@ -169,7 +164,7 @@ def _stack_of(data: tuple) -> np.ndarray:
 def _frame_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
     if point.dim != problem.dim or point.rank != problem.rank:
         raise InvalidInputError("point does not live on the problem's Grassmannian")
-    return _frame(point)
+    return _frame(point.matrix, point.rank)
 
 
 def _metric(first: np.ndarray, second: np.ndarray):
@@ -189,34 +184,32 @@ def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
     Raises CutLocusError (with the datum index) if ``point`` leaves the
     injectivity domain of some datum.
     """
-    angles, _, cut = _principal_angles(_frame_of(problem, point)[:, :point.rank],
-                                       problem.bases)
+    angles, _, cut, _ = _principal_angles(_frame_of(problem, point)[:, :point.rank],
+                                          problem.bases, False)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     return float(_cost(angles))
 
 
 def _evaluate(bases: np.ndarray, frame: np.ndarray):
-    """Angles, cost, residual block and cut-locus index at ``frame``, from one kernel call.
+    """Angles, cost, residual block, cut index and overlaps at ``frame``: one kernel call.
 
     The residual, minus the summed data logs, is N/2 times the gradient of
     karcher_cost. The solver searches along it, so the step 1/N is the
     Karcher fixed-point step (a move by the mean log) and step 1 is exact for
     one datum.
     """
-    m = bases.shape[-1]
-    angles, block, cut = _principal_angles(frame[..., :m], bases, frame[..., m:])
-    return angles, _cost(angles), -block, cut
+    angles, block, cut, over = _principal_angles(frame, bases, True)
+    return angles, _cost(angles), -block, cut, over
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
     frame, m = _frame_of(problem, point), problem.rank
-    _, _, block, cut = _evaluate(problem.bases, frame)
+    _, _, block, cut, _ = _evaluate(problem.bases, frame)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return TangentVector(point, _tangent_matrix(frame[:, :m], frame[:, m:],
-                                                (2.0 / problem.size) * block))
+    return TangentVector(point, _tangent_matrix(frame, m, (2.0 / problem.size) * block))
 
 
 def backtracking_step(objective, value0: float, slope: float, step: float) -> float:
@@ -251,30 +244,30 @@ def _at_noise_floor(decrease: float, value0: float) -> bool:
     return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
 
-def _newton_step(bases: np.ndarray, frame: np.ndarray, block: np.ndarray, angles: np.ndarray):
-    """Newton step sizes along the tangent blocks d = ``block`` in ``frame``, rank one.
+def _newton_step(over: np.ndarray, block: np.ndarray, angles: np.ndarray):
+    """Newton step sizes along the tangent blocks d = ``block`` of a frame, rank one.
 
-    Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With the overlaps
-    c_i = y_i^H x1 and e_i = y_i^H X2 d^H, its derivatives at t = 0 are
-    lambda' = 2 Re(c_i conj(e_i)) and lambda'' = 2 |e_i|^2 - 2 |c_i|^2 |d|^2.
-    ``angles`` are the kernel's (N, 1) principal angles at ``frame``, and
-    leading axes are a batch. Returns the steps -F'(0) / |F''(0)| and a list
-    of None or each problem's error: DomainError unless every lambda_i is
-    inside (NEWTON_DOMAIN_TOL, 1 - NEWTON_DOMAIN_TOL), else
-    DegenerateCurvatureError. A failed problem's step is 0.
+    ``over`` and ``angles`` are the kernel's (N, 1, n) overlaps Y_i^H [x1 X2]
+    and (N, 1) principal angles at that frame, and leading axes are a batch.
+    Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With
+    c_i = y_i^H x1 = over[..., 0, 0] and e_i = (y_i^H X2) d^H, read from
+    over[..., 0, 1:], its derivatives at t = 0 are lambda' = 2 Re(conj(c_i) e_i)
+    and lambda'' = 2 |e_i|^2 - 2 |c_i|^2 |d|^2. Returns the steps
+    -F'(0) / |F''(0)| and a list of None or each problem's error: DomainError
+    unless every lambda_i is inside (NEWTON_DOMAIN_TOL, 1 - NEWTON_DOMAIN_TOL),
+    else DegenerateCurvatureError. A failed problem's step is 0.
     """
-    ahead = frame[..., 1:] @ block.conj().swapaxes(-1, -2)
-    over = bases[..., 0].conj() @ np.concatenate([frame[..., :1], ahead], axis=-1)
-    prod = over[..., :1].conj() * over  # |c_i|^2 and conj(c_i) e_i
-    lam, lam_d, e = prod[..., 0].real, 2.0 * prod[..., 1].real, over[..., 1]
+    c = over[..., 0, 0]
+    e = (over[..., 0, 1:] @ block.conj().swapaxes(-1, -2))[..., 0]
+    lam, lam_d = (c.conj() * c).real, 2.0 * (c.conj() * e).real
     outside = ((lam <= NEWTON_DOMAIN_TOL) | (lam >= 1.0 - NEWTON_DOMAIN_TOL)).any(axis=-1)
     speed = _metric(block, block)  # the squared norm 2 |d|^2
     lam_dd = 2.0 * (e * e.conj()).real - lam * speed[..., np.newaxis]
     with np.errstate(invalid="ignore", divide="ignore"):  # outside the domain
         root = np.sqrt(lam - lam * lam)
         rate, weight = lam_d / root, angles[..., 0] / root  # lambda' / root, theta / root
-        first = (-2.0 / bases.shape[-3]) * (rate * angles[..., 0]).sum(axis=-1)
-        second = (2.0 / bases.shape[-3]) * (0.5 * rate * rate + weight * (
+        first = (-2.0 / over.shape[-3]) * (rate * angles[..., 0]).sum(axis=-1)
+        second = (2.0 / over.shape[-3]) * (0.5 * rate * rate + weight * (
             (0.5 - lam) * rate * rate - lam_dd)).sum(axis=-1)
         step = -first / np.abs(second)
     # F'' along H scales with |H|^2, so degeneracy is a relative statement;
@@ -294,9 +287,8 @@ def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
         raise InvalidInputError("the Newton step rule requires rank-one subspaces")
     frame = _frame_of(problem, point)
     require_anchored(direction, point)
-    angles, _, _ = _principal_angles(frame[:, :1], problem.bases)
-    step, (error,) = _newton_step(problem.bases, frame,
-                                  _tangent_block(frame, 1, direction.matrix), angles)
+    angles, _, _, over = _principal_angles(frame, problem.bases, False)
+    step, (error,) = _newton_step(over, _tangent_block(frame, 1, direction.matrix), angles)
     if error is not None:
         raise error
     return float(step)
@@ -392,13 +384,13 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     frame = np.broadcast_to(start, (len(bases), n, n))
     ids, result, failed = list(range(len(bases))), np.empty_like(frame), {}
     traces = [CGTrace() for _ in ids]
-    period = config.restart_period or max(1, 2 * m * (n - m) - 1)
+    period = max(1, 2 * m * (n - m) - 1)
     first_step, backtrack = 1.0 / count, config.step_rule == "backtracking"
 
     def view(k):  # the callback's point, gradient and direction of running problem k
-        point, x1, x2 = _point(frame[k], m), frame[k, :, :m], frame[k, :, m:]
-        return (point, TangentVector(point, _tangent_matrix(x1, x2, grad[k])),
-                TangentVector(point, _tangent_matrix(x1, x2, direction[k])))
+        point = _point(frame[k], m)
+        return (point, TangentVector(point, _tangent_matrix(frame[k], m, grad[k])),
+                TangentVector(point, _tangent_matrix(frame[k], m, direction[k])))
 
     # per-problem scalars are lists, and blocks and frames arrays, over the
     # running problems in problem order
@@ -417,14 +409,15 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
             try:
                 if not backtrack:
-                    step, errors = _newton_step(bases, frame, direction, angles)
+                    step, errors = _newton_step(over, direction, angles)
                     capped = (step > NEWTON_STEP_CAP).tolist()
                     steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
                 path = _geodesic(frame, m, direction)
                 for k in range(size) if backtrack else ():
 
                     def line_value(a):
-                        trial, _, cut = _principal_angles(np.linalg.qr(path(a)[k])[0], bases[k])
+                        trial, _, cut, _ = _principal_angles(np.linalg.qr(path(a)[k])[0],
+                                                             bases[k], False)
                         return np.inf if cut >= 0 else float(_cost(trial))
 
                     while not noise_floor[k]:
@@ -448,7 +441,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 if err.status is None:
                     raise
                 errors = [err] * size
-        angles, new_cost, new_grad, cut = _evaluate(bases, frame)
+        angles, new_cost, new_grad, cut, over = _evaluate(bases, frame)
         new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
         periodic = iteration > 0 and iteration % period == 0
         if iteration == 0 or periodic:
@@ -478,8 +471,8 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 break
             ids, cost, gnorm = ([v for v, go in zip(part, keep) if go] for part in (ids, cost, gnorm))
             keep = np.array(keep)
-            bases, frame, angles, grad, direction = (
-                part[keep] for part in (bases, frame, angles, grad, direction))
+            bases, frame, angles, over, grad, direction = (
+                part[keep] for part in (bases, frame, angles, over, grad, direction))
     result[ids] = frame
     for index, trace in enumerate(traces):
         trace.status = failed[index].status if index in failed else (

@@ -61,7 +61,8 @@ def test_experiment_config_validation():
     # before any trial draws
     for bad in ({"noise_level": np.nan}, {"noise_level": np.inf}, {"n": 2.5},
                 {"n_estimations": 2.0}, {"trials": 2.5},
-                {"samples_per_trial": 1000.5}, {"rng_seed": -1}, {"rng_seed": 0.5}):
+                {"samples_per_trial": 1000.5}, {"rng_seed": -1}, {"rng_seed": 0.5},
+                {"trials": True}, {"n_estimations": True}, {"rng_seed": False}):
         with pytest.raises(InvalidInputError):
             MixingExperiment(**bad)
     assert MixingExperiment(n=np.int64(3), trials=np.int64(2)).n == 3

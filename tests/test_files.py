@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def test_write_rejects_empty_and_ragged(tmp_path):
         write_subspace_file(path, [])
     with pytest.raises(InvalidInputError):
         write_subspace_file(path, [np.eye(3)[:, :2], np.eye(4)[:, :2]])
+    # what the reader would reject is not written: a non-finite entry (JSON
+    # has no NaN), a 1-D array and a wide matrix, named by the lowest basis
+    nan = np.eye(3)[:, :1].copy()
+    nan[1, 0] = np.nan
+    for bases, name in (([np.eye(3)[:, :1], nan, nan], "bases[1]"),
+                        ([np.eye(3)[:, :1], np.ones(3)], "bases[1]"),
+                        ([np.ones((1, 2))], "bases[0]"),
+                        ([np.eye(2)[:, :1], np.full((2, 1), np.inf)], "bases[1]")):
+        with pytest.raises(InvalidInputError, match=re.escape(name)):
+            write_subspace_file(path, bases)
+        assert not path.exists()
 
 
 def test_roundtrip_of_a_thousand_bases_is_bit_exact(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import grassmean.karcher as karcher
 from grassmean import linalg
 from conftest import basis_cloud, random_cloud, random_point, random_tangent, random_unitary
 from grassmean.exceptions import (
     CutLocusError,
+    DomainError,
     GrassmeanError,
     InvalidInputError,
     LineSearchFailedError,
@@ -119,14 +120,24 @@ def test_projector_data_are_not_validated_again(monkeypatch):
 
 @pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp")])
 def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
-    # each iterate takes its angles, cost and residual from one kernel call
-    # with the complement; calls without it serve line-search trials only
+    # each iterate takes its angles, cost, residual and overlaps from one
+    # kernel call on its frame; calls without logs serve line-search trials
+    # only, and the Newton rule reads the overlaps of the iterate's own call
     calls = {"frame": 0, "basis": 0}
     kernel = karcher._principal_angles
+    returned, passed = [], []
 
-    def counted(x, ys, x2=None):
-        calls["basis" if x2 is None else "frame"] += 1
-        return kernel(x, ys, x2)
+    def counted(cols, ys, logs):
+        calls["frame" if logs else "basis"] += 1
+        result = kernel(cols, ys, logs)
+        returned.append(result[3])
+        return result
+
+    newton_step = karcher._newton_step
+
+    def watched(over, *args):
+        passed.append(over is returned[-1])
+        return newton_step(over, *args)
 
     trials = []
     search = karcher.backtracking_step
@@ -139,12 +150,14 @@ def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
 
     monkeypatch.setattr(karcher, "_principal_angles", counted)
     monkeypatch.setattr(karcher, "backtracking_step", counted_search)
+    monkeypatch.setattr(karcher, "_newton_step", watched)
     _, points = random_cloud(5, m, 10, 0.5, np.random.default_rng(33))
     _, trace = karcher_mean(KarcherProblem(points), config=CGConfig(step_rule=step_rule))
     assert trace.converged and trace.iterations >= 3
     assert calls["frame"] == trace.iterations + 1
     assert calls["basis"] == len(trials)
     assert (len(trials) > 0) == (step_rule == "backtracking")
+    assert passed == ([True] * trace.iterations if step_rule == "newton_cp" else [])
 
 
 @pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp")])
@@ -199,8 +212,7 @@ def test_every_direction_rule_converges_without_crawling():
     # and the error shrinks by about 1% per iteration; 1/N converges at once
     _, points = random_cloud(5, 2, 8, 0.4, np.random.default_rng(31))
     problem = KarcherProblem(points)
-    configs = [CGConfig(direction_rule=rule, max_iter=20) for rule in RULES]
-    for config in configs + [CGConfig(restart_period=1, max_iter=20)]:
+    for config in [CGConfig(direction_rule=rule, max_iter=20) for rule in RULES]:
         _, trace = karcher_mean(problem, config=config)
         assert trace.converged, config
 
@@ -246,7 +258,7 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         CGConfig(max_iter=0)
     for bad in ({"grad_tol": np.inf}, {"grad_tol": np.nan}, {"max_iter": 2.5},
-                {"restart_period": 1.5}):
+                {"max_iter": True}):
         with pytest.raises(InvalidInputError):
             CGConfig(**bad)
 
@@ -349,19 +361,31 @@ def test_backtracking_gives_up():
         backtracking_step(lambda a: 1.0 + np.sqrt(a), 1.0, -1.0, 1.0)
 
 
-def test_newton_step_matches_finite_difference_model():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        _, points = random_cloud(5, 1, 6, 0.4, rng)
-        problem = KarcherProblem(points)
-        at = exp(points[0], random_tangent(points[0], rng, 0.05))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_newton_step_matches_finite_difference_model(data):
+    # e_i comes from the direction through the overlaps, so the directions
+    # are random tangents as well as -grad
+    n = data.draw(st.integers(2, 8), label="n")
+    count = data.draw(st.integers(1, 50), label="count")
+    radius = data.draw(st.floats(0.0, 0.8), label="radius")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    _, points = random_cloud(n, 1, count, radius, rng)
+    problem = KarcherProblem(points)
+    at = exp(points[0], random_tangent(points[0], rng, 0.05))
+    if data.draw(st.booleans(), label="descent"):
         direction = -karcher_gradient(problem, at)
+    else:
+        direction = random_tangent(at, rng, data.draw(st.floats(0.1, 2.0), label="norm"))
+    try:
         step = newton_step_cp(problem, at, direction)
-        h = 1e-4
-        f = lambda t: karcher_cost(problem, geodesic(at, direction, t))
-        d1 = (f(h) - f(-h)) / (2 * h)
-        d2 = (f(h) - 2 * f(0.0) + f(-h)) / (h * h)
-        assert abs(step - (-d1 / abs(d2))) < 1e-4 * max(1.0, abs(step))
+    except DomainError:
+        reject()
+    h = 1e-4
+    f = lambda t: karcher_cost(problem, geodesic(at, direction, t))
+    d1 = (f(h) - f(-h)) / (2 * h)
+    d2 = (f(h) - 2 * f(0.0) + f(-h)) / (h * h)
+    assert abs(step - (-d1 / abs(d2))) < 1e-4 * max(1.0, abs(step))
 
 
 def test_newton_step_requires_rank_one():
@@ -485,16 +509,19 @@ def test_monotone_descent_and_trace_shape():
 
 
 def test_restart_resets_to_steepest_descent():
-    _, problem = ball_problem(5, 2, 10, 0.3, seed=15)
-    period = 4
+    # the period is 2m(n-m) - 1, one less than the manifold's real dimension: 3 here
+    _, problem = ball_problem(3, 1, 10, 1.0, seed=15)
+    period = 3
     seen = []
 
     def watch(iteration, point, grad, direction):
         if iteration > 0 and iteration % period == 0:
             seen.append(np.array_equal(direction.matrix, -grad.matrix))
 
-    karcher_mean(problem, config=CGConfig(restart_period=period), callback=watch)
-    assert seen and all(seen)
+    _, trace = karcher_mean(problem, callback=watch)
+    assert trace.converged and len(seen) >= 2 and all(seen)
+    assert all(item.restart and item.direction_rule == "sd"
+               for item in trace.iterates[period::period])
 
 
 def test_unitary_equivariance_of_the_mean():
@@ -727,7 +754,7 @@ def test_projector_data_take_one_batched_eigh():
     _, points = random_cloud(6, 2, 30, 0.5, np.random.default_rng(35))
     bases = KarcherProblem(points).bases
     for point, basis in zip(points, bases):
-        assert basis.tobytes() == karcher._frame(point)[:, :2].tobytes()
+        assert basis.tobytes() == karcher._frame(point.matrix, 2)[:, :2].tobytes()
     broken = object.__new__(GrassmannPoint)
     object.__setattr__(broken, "matrix", np.zeros((3, 3), dtype=complex))
     object.__setattr__(broken, "rank", 1)

@@ -15,7 +15,6 @@ from .exceptions import (
     CutLocusError,
     DegenerateAverageError,
     DegenerateCurvatureError,
-    DomainError,
     GrassmeanError,
     IllConditionedError,
     InvalidInputError,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class MixingExperiment:
     """Configuration of one benchmark sweep.
 
     Every field is checked here, once: the counts and the seed must be
-    integers (not bools) and the noise level finite, so the trials that
-    follow run unvalidated.
+    integers and the noise level a finite real number (neither a bool), so
+    the trials that follow run unvalidated.
     """
 
     n: int = 5
@@ -64,8 +64,9 @@ class MixingExperiment:
             raise InvalidInputError("need at least two sources")
         if self.n_estimations < 1:
             raise InvalidInputError("need at least one estimation per trial")
-        if not 0 <= self.noise_level < np.inf:
-            raise InvalidInputError("noise level must be nonnegative and finite")
+        if (isinstance(self.noise_level, bool) or not isinstance(self.noise_level, Real)
+                or not 0 <= self.noise_level < np.inf):
+            raise InvalidInputError("noise level must be a nonnegative finite number")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
         if self.samples_per_trial < MIN_SAMPLES_PER_SOURCE * self.n:

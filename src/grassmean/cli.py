@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     mean.add_argument("--rule", choices=DIRECTION_RULES, default="hs",
                       help="conjugate-direction update rule")
     mean.add_argument("--step", choices=sorted(_STEP_RULES), default="backtrack",
-                      help="step-size rule (newton applies to one-dimensional subspaces)")
+                      help="step-size rule: Armijo backtracking, or newton (any rank)")
     mean.add_argument("--grad-tol", type=float, default=1e-8,
                       help="gradient-norm stopping tolerance")
     mean.add_argument("--max-iter", type=int, default=500, help="iteration cap")
@@ -143,7 +143,7 @@ def _run_experiment_cmd(args) -> int:
         print("error: only one of --eps-list and --nest-list may vary", file=sys.stderr)
         return EXIT_USAGE
     for value in nest_values:
-        if value != int(value) or value < 1:
+        if not value.is_integer() or value < 1:  # False for inf and nan
             print("error: --nest-list entries must be positive integers", file=sys.stderr)
             return EXIT_USAGE
     if len(nest_values) > 1:

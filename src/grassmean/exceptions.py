@@ -17,12 +17,6 @@ class InvalidInputError(GrassmeanError, ValueError):
     """Malformed or out-of-contract input."""
 
 
-class DomainError(GrassmeanError, ValueError):
-    """A value fell outside the mathematical domain of an operation."""
-
-    status = "domain_error"
-
-
 class CutLocusError(GrassmeanError):
     """Two points are numerically at or beyond the cut locus, so the
     connecting geodesic is not unique.

@@ -8,21 +8,21 @@ point) and the overlaps Y_i^H [X1 X2] that the Newton step reads. The solver
 carries that frame (Edelman, Arias & Smith 1998): a tangent vector is its
 m-by-(n-m) block, geodesics move the whole frame, and parallel transport leaves
 blocks unchanged. Direction rules are the classical conjugate ones; step sizes
-come from backtracking or, on projective space, an exact Newton step.
+come from backtracking or, at any rank, a Newton step on the cost's exact
+second derivative along the geodesic.
 Projector objects are built only for the result and the callback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .exceptions import (
     CutLocusError,
     DegenerateCurvatureError,
-    DomainError,
     GrassmeanError,
     InvalidInputError,
     LineSearchFailedError,
@@ -34,6 +34,7 @@ from .grassmann import (
     TangentVector,
     _frame,
     _geodesic,
+    _overlap_svd,
     _point,
     _principal_angles,
     _tangent_block,
@@ -51,7 +52,6 @@ MAX_SHRINKS = 60
 NOISE_SLOPE_FACTOR = 1e4
 NEWTON_STEP_CAP = 1.0
 CURVATURE_TOL = 1e-14
-NEWTON_DOMAIN_TOL = 1e-12
 INIT_GAP_TOL = 1e-8
 _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 _DATA_TYPES = (StiefelBasis, GrassmannPoint)
@@ -62,9 +62,9 @@ class CGConfig:
     """Solver knobs.
 
     Step scales are worked out, not set: backtracking starts at 1/N (see
-    ``karcher_mean``), and the Newton rule, valid only for rank-one subspaces,
-    is capped at NEWTON_STEP_CAP. Directions restart from steepest descent every
-    max(1, 2m(n-m) - 1) iterations, one less than the manifold's real dimension.
+    ``karcher_mean``), and the Newton rule's step is capped at NEWTON_STEP_CAP.
+    Directions restart from steepest descent every max(1, 2m(n-m) - 1)
+    iterations, one less than the manifold's real dimension.
     """
 
     direction_rule: str = "hs"
@@ -77,8 +77,9 @@ class CGConfig:
             raise InvalidInputError(f"unknown direction rule {self.direction_rule!r}")
         if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
-        if not 0 < self.grad_tol < np.inf:
-            raise InvalidInputError("grad_tol must be positive and finite")
+        if (isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, Real)
+                or not 0 < self.grad_tol < np.inf):
+            raise InvalidInputError("grad_tol must be a positive finite number")
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral)
                 or self.max_iter < 1):
             raise InvalidInputError("max_iter must be an integer of at least 1")
@@ -179,11 +180,8 @@ def _cost(angles: np.ndarray) -> np.ndarray:
 
 
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
-    """Mean squared geodesic distance from ``point`` to the problem data.
-
-    Raises CutLocusError (with the datum index) if ``point`` leaves the
-    injectivity domain of some datum.
-    """
+    """Mean squared geodesic distance from ``point`` to the problem data; CutLocusError
+    (with the datum index) if ``point`` is at the cut locus of a datum."""
     angles, _, cut, _ = _principal_angles(_frame_of(problem, point)[:, :point.rank],
                                           problem.bases, False)
     if cut >= 0:
@@ -244,51 +242,60 @@ def _at_noise_floor(decrease: float, value0: float) -> bool:
     return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
 
-def _newton_step(over: np.ndarray, block: np.ndarray, angles: np.ndarray):
-    """Newton step sizes along the tangent blocks d = ``block`` of a frame, rank one.
+def _newton_step(over: np.ndarray, block: np.ndarray, angles: np.ndarray, slope: np.ndarray):
+    """Newton step sizes -F'(0) / |F''(0)| along the tangent blocks D = ``block`` of a frame.
 
-    ``over`` and ``angles`` are the kernel's (N, 1, n) overlaps Y_i^H [x1 X2]
-    and (N, 1) principal angles at that frame, and leading axes are a batch.
-    Each datum contributes lambda_i(t) = |y_i^H x1(t)|^2. With
-    c_i = y_i^H x1 = over[..., 0, 0] and e_i = (y_i^H X2) d^H, read from
-    over[..., 0, 1:], its derivatives at t = 0 are lambda' = 2 Re(conj(c_i) e_i)
-    and lambda'' = 2 |e_i|^2 - 2 |c_i|^2 |d|^2. Returns the steps
-    -F'(0) / |F''(0)| and a list of None or each problem's error: DomainError
-    unless every lambda_i is inside (NEWTON_DOMAIN_TOL, 1 - NEWTON_DOMAIN_TOL),
-    else DegenerateCurvatureError. A failed problem's step is 0.
+    ``over`` and ``angles`` are the kernel's (N, m, n) overlaps Y_i^H [X1 X2]
+    and (N, m) angles at that frame, ``slope`` is F'(0), and leading axes are
+    a batch. With Y_i^H X1 = L C R^H (``_overlap_svd``), W_i = (Y_i^H X2)^H L
+    diag(1 / sin theta) (0 where sin theta = 0), T = R^H D, P = T W_i and the
+    Jacobi-field weights w(phi) = phi cot phi (Absil, Mahony & Sepulchre, Acta
+    Appl. Math. 2004; Ferreira, Xavier, Costeira & Barroso, IEEE JSTSP 2013),
+    F''(0) = 4/N sum_i [1/4 sum_kl (|(P + P^H)_kl|^2 w(theta_k - theta_l) +
+    |(P - P^H)_kl|^2 w(theta_k + theta_l)) + sum_k w(theta_k) (|T_k|^2 - |P_k|^2)],
+    finite below the cut locus. Returns the steps and a list of None or each
+    problem's DegenerateCurvatureError; a failed problem's step is 0.
     """
-    c = over[..., 0, 0]
-    e = (over[..., 0, 1:] @ block.conj().swapaxes(-1, -2))[..., 0]
-    lam, lam_d = (c.conj() * c).real, 2.0 * (c.conj() * e).real
-    outside = ((lam <= NEWTON_DOMAIN_TOL) | (lam >= 1.0 - NEWTON_DOMAIN_TOL)).any(axis=-1)
-    speed = _metric(block, block)  # the squared norm 2 |d|^2
-    lam_dd = 2.0 * (e * e.conj()).real - lam * speed[..., np.newaxis]
-    with np.errstate(invalid="ignore", divide="ignore"):  # outside the domain
-        root = np.sqrt(lam - lam * lam)
-        rate, weight = lam_d / root, angles[..., 0] / root  # lambda' / root, theta / root
-        first = (-2.0 / over.shape[-3]) * (rate * angles[..., 0]).sum(axis=-1)
-        second = (2.0 / over.shape[-3]) * (0.5 * rate * rate + weight * (
-            (0.5 - lam) * rate * rate - lam_dd)).sum(axis=-1)
-        step = -first / np.abs(second)
-    # F'' along H scales with |H|^2, so degeneracy is a relative statement;
+    *batch, count, m, n = over.shape
+    left, cos, right_h = _overlap_svd(over[..., :m], True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = np.where(cos < 1.0, 1.0 / np.sqrt(1.0 - cos * cos), 0.0)  # 1 / sin theta
+        # (Y_i^H X2) D^H of every datum from one GEMM over the stacked (datum, column) index
+        mixed = over[..., m:].reshape(*batch, count * m, n - m) @ block.conj().swapaxes(-1, -2)
+        p = (right_h @ mixed.reshape(*batch, count, m, m).conj().swapaxes(-1, -2) @ left
+             * inverse[..., np.newaxis, :])
+        squared, cross = (p * p.conj()).real, (p * p.swapaxes(-1, -2)).real
+        row, col = angles[..., :, np.newaxis], angles[..., np.newaxis, :]  # theta_k, theta_l
+        # w at theta_k - theta_l, theta_k + theta_l and theta_k, floored so that w(0) = 1
+        minus, plus, weight = (phi / np.tan(phi) for phi in (
+            np.maximum(np.abs(x), _TINY) for x in (row - col, row + col, row)))
+        # the sum over k, l in |P_kl|^2 and Re(P_kl P_lk); the |T_k|^2 sum over
+        # data is tr(D D^H sum_i R diag(w(theta)) R^H)
+        pairs = (squared + cross) * minus + (squared - cross) * plus - 2.0 * squared * weight
+        rotated = (right_h.conj().swapaxes(-1, -2) * weight.swapaxes(-1, -2)) @ right_h
+        lone = np.vecdot((block @ block.conj().swapaxes(-1, -2)).reshape(*batch, -1),
+                         rotated.sum(axis=-3).reshape(*batch, -1)).real
+        second = (2.0 / count) * (pairs.sum(axis=(-3, -2, -1)) + 2.0 * lone)
+        step = -slope / np.abs(second)
+    # F'' along D scales with |D|^2, so degeneracy is a relative statement;
     # an absolute floor would trip on healthy short directions near the optimum
-    flat = (first != 0.0) & (np.abs(second) < CURVATURE_TOL * np.maximum(speed, _TINY))
-    errors = [DomainError("a datum is too close to the evaluation point or its cut locus")
-              if out else DegenerateCurvatureError(f"second derivative {s:.3e} is numerically zero")
-              if low else None for out, low, s in zip(*(v.reshape(-1).tolist()
-                                                       for v in (outside, flat, second)))]
-    return np.where(outside | flat | (first == 0.0), 0.0, step), errors
+    flat = (slope != 0.0) & (np.abs(second) < CURVATURE_TOL * np.maximum(
+        _metric(block, block), _TINY))
+    errors = [DegenerateCurvatureError(f"second derivative {s:.3e} is numerically zero")
+              if low else None for low, s in zip(flat.ravel().tolist(), second.ravel().tolist())]
+    return np.where(flat | (slope == 0.0), 0.0, step), errors
 
 
 def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
                    direction: TangentVector) -> float:
-    """Newton step size along ``direction`` on projective space (rank one)."""
-    if problem.rank != 1:
-        raise InvalidInputError("the Newton step rule requires rank-one subspaces")
-    frame = _frame_of(problem, point)
+    """Newton step size along ``direction``; CutLocusError as ``karcher_cost``."""
+    frame, m = _frame_of(problem, point), problem.rank
     require_anchored(direction, point)
-    angles, _, _, over = _principal_angles(frame, problem.bases, False)
-    step, (error,) = _newton_step(over, _tangent_block(frame, 1, direction.matrix), angles)
+    angles, _, grad, cut, over = _evaluate(problem.bases, frame)
+    if cut >= 0:
+        raise CutLocusError(index=int(cut))
+    block = _tangent_block(frame, m, direction.matrix)
+    step, (error,) = _newton_step(over, block, angles, (2.0 / problem.size) * _metric(grad, block))
     if error is not None:
         raise error
     return float(step)
@@ -376,8 +383,6 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     if config is None:
         config = CGConfig()
     n, m, count = problem.dim, problem.rank, problem.size
-    if config.step_rule == "newton_cp" and m != 1:
-        raise InvalidInputError("the newton_cp step rule requires rank-one subspaces")
     batched = problem.bases.ndim == 4
     bases = problem.bases if batched else problem.bases[np.newaxis]
     start = _anchor_frame(problem) if init is None else _frame_of(problem, init)
@@ -409,7 +414,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
             try:
                 if not backtrack:
-                    step, errors = _newton_step(over, direction, angles)
+                    step, errors = _newton_step(over, direction, angles, np.array(slopes))
                     capped = (step > NEWTON_STEP_CAP).tolist()
                     steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
                 path = _geodesic(frame, m, direction)

@@ -25,7 +25,6 @@ from grassmean.exceptions import (
     CutLocusError,
     DegenerateAverageError,
     DegenerateCurvatureError,
-    DomainError,
     IllConditionedError,
     InvalidInputError,
     LineSearchFailedError,
@@ -62,7 +61,8 @@ def test_experiment_config_validation():
     for bad in ({"noise_level": np.nan}, {"noise_level": np.inf}, {"n": 2.5},
                 {"n_estimations": 2.0}, {"trials": 2.5},
                 {"samples_per_trial": 1000.5}, {"rng_seed": -1}, {"rng_seed": 0.5},
-                {"trials": True}, {"n_estimations": True}, {"rng_seed": False}):
+                {"trials": True}, {"n_estimations": True}, {"rng_seed": False},
+                {"noise_level": True}, {"noise_level": "0.5"}):
         with pytest.raises(InvalidInputError):
             MixingExperiment(**bad)
     assert MixingExperiment(n=np.int64(3), trials=np.int64(2)).n == 3
@@ -467,7 +467,6 @@ def test_run_experiment_records_failures(monkeypatch):
     (karcher, "_newton_step", CutLocusError, "cut_locus"),
     (karcher, "_newton_step", LineSearchFailedError, "line_search_failed"),
     (karcher, "_newton_step", DegenerateCurvatureError, "degenerate_curvature"),
-    (karcher, "_newton_step", DomainError, "domain_error"),
     (blindid, "average_euclid", DegenerateAverageError, "degenerate_average"),
     (karcher, "_newton_step", InvalidInputError, None),
     (karcher, "_newton_step", NotDescentDirectionError, None),

@@ -121,6 +121,10 @@ def test_karcher_mean_newton_step_rule(tmp_path, capsys):
     code = main(["karcher-mean", str(path), "--out", str(out), "--step", "newton"])
     assert code == 0
     assert "status = converged" in capsys.readouterr().out
+    # the rule takes subspaces of any dimension
+    planes = cloud_file(tmp_path, "planes.json", n=5, m=2)
+    assert main(["karcher-mean", str(planes), "--out", str(out), "--step", "newton"]) == 0
+    assert "status = converged" in capsys.readouterr().out.splitlines()
 
 
 def test_distance_output(tmp_path, capsys):
@@ -182,6 +186,8 @@ def test_bi_experiment_flag_validation(tmp_path, capsys):
     assert main(["bi-experiment", "--eps-list", "1,0.5", "--nest-list", "2,4",
                  "--out", out]) == 1
     assert main(["bi-experiment", "--nest-list", "2.5", "--out", out]) == 1
+    for bad in ("inf", "nan", "1e400"):
+        assert main(["bi-experiment", "--nest-list", bad, "--out", out]) == 1
     assert main(["bi-experiment", "--eps-list", "abc", "--out", out]) == 1
     assert main(["bi-experiment", "--eps-list", ",", "--out", out]) == 1
     assert main(["bi-experiment", "--seed", "-1", "--out", out]) == 1

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import grassmean.karcher as karcher
 from grassmean import linalg
 from conftest import basis_cloud, random_cloud, random_point, random_tangent, random_unitary
 from grassmean.exceptions import (
     CutLocusError,
-    DomainError,
+    DegenerateCurvatureError,
     GrassmeanError,
     InvalidInputError,
     LineSearchFailedError,
@@ -118,7 +118,7 @@ def test_projector_data_are_not_validated_again(monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp")])
+@pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp"), (2, "newton_cp")])
 def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     # each iterate takes its angles, cost, residual and overlaps from one
     # kernel call on its frame; calls without logs serve line-search trials
@@ -257,8 +257,8 @@ def test_config_validation():
         CGConfig(step_rule="exact")
     with pytest.raises(InvalidInputError):
         CGConfig(max_iter=0)
-    for bad in ({"grad_tol": np.inf}, {"grad_tol": np.nan}, {"max_iter": 2.5},
-                {"max_iter": True}):
+    for bad in ({"grad_tol": np.inf}, {"grad_tol": np.nan}, {"grad_tol": True},
+                {"grad_tol": "1e-8"}, {"max_iter": 2.5}, {"max_iter": True}):
         with pytest.raises(InvalidInputError):
             CGConfig(**bad)
 
@@ -364,37 +364,26 @@ def test_backtracking_gives_up():
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.data())
 def test_newton_step_matches_finite_difference_model(data):
-    # e_i comes from the direction through the overlaps, so the directions
-    # are random tangents as well as -grad
+    # the curvature weighs the direction's parts in the principal bases of
+    # each datum, so the directions are random tangents as well as -grad
     n = data.draw(st.integers(2, 8), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
     count = data.draw(st.integers(1, 50), label="count")
     radius = data.draw(st.floats(0.0, 0.8), label="radius")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    _, points = random_cloud(n, 1, count, radius, rng)
+    _, points = random_cloud(n, m, count, radius, rng)
     problem = KarcherProblem(points)
     at = exp(points[0], random_tangent(points[0], rng, 0.05))
     if data.draw(st.booleans(), label="descent"):
         direction = -karcher_gradient(problem, at)
     else:
         direction = random_tangent(at, rng, data.draw(st.floats(0.1, 2.0), label="norm"))
-    try:
-        step = newton_step_cp(problem, at, direction)
-    except DomainError:
-        reject()
+    step = newton_step_cp(problem, at, direction)
     h = 1e-4
     f = lambda t: karcher_cost(problem, geodesic(at, direction, t))
     d1 = (f(h) - f(-h)) / (2 * h)
     d2 = (f(h) - 2 * f(0.0) + f(-h)) / (h * h)
     assert abs(step - (-d1 / abs(d2))) < 1e-4 * max(1.0, abs(step))
-
-
-def test_newton_step_requires_rank_one():
-    rng = np.random.default_rng(6)
-    _, points = random_cloud(5, 2, 4, 0.3, rng)
-    problem = KarcherProblem(points)
-    at = points[0]
-    with pytest.raises(InvalidInputError):
-        newton_step_cp(problem, at, zero_tangent(at))
 
 
 def test_direction_coefficients_flat_case():
@@ -481,18 +470,13 @@ def test_solver_converges_every_rule(rule):
     assert np.linalg.norm(total) < 1e-7
 
 
-def test_newton_rule_converges_on_projective_space():
-    _, problem = ball_problem(5, 1, 10, 0.3, seed=12)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_newton_rule_converges_on_projective_space(m):
+    _, problem = ball_problem(5, m, 10, 0.3, seed=12)
     config = CGConfig(step_rule="newton_cp", grad_tol=1e-8, max_iter=200)
     point, trace = karcher_mean(problem, config=config)
     assert trace.converged
     assert karcher_gradient(problem, point).norm() < 1e-8
-
-
-def test_newton_rule_rejected_off_projective_space():
-    _, problem = ball_problem(5, 2, 4, 0.3, seed=13)
-    with pytest.raises(InvalidInputError):
-        karcher_mean(problem, config=CGConfig(step_rule="newton_cp"))
 
 
 def test_monotone_descent_and_trace_shape():
@@ -686,13 +670,13 @@ def _assert_same_trace(trace, ref):
 def test_a_batch_solves_like_separate_calls(data):
     # B problems of one shape, solved by one batched karcher_mean call and
     # by B calls of one problem each: the same statuses, traces and means.
-    # Problems with a datum orthogonal to the start stop at the cut locus,
-    # and Newton problems holding the start itself leave the Newton domain;
-    # the batch then raises the error of the lowest failing problem
+    # Problems with a datum orthogonal to the start stop at the cut locus, and
+    # the batch then raises the error of the lowest failing problem; problems
+    # holding the start itself solve as any other
     size = data.draw(st.integers(1, 8), label="B")
     n = data.draw(st.integers(2, 8), label="n")
     step_rule = data.draw(st.sampled_from(["backtracking", "newton_cp"]), label="step_rule")
-    m = 1 if step_rule == "newton_cp" else data.draw(st.integers(1, n - 1), label="m")
+    m = data.draw(st.integers(1, n - 1), label="m")
     count = data.draw(st.integers(1, 50), label="N")
     radius = data.draw(st.floats(0.05, 1.0), label="radius")
     faults = ["none"] * size
@@ -729,14 +713,24 @@ def test_a_batch_solves_like_separate_calls(data):
         assert np.linalg.norm(point.matrix - ref_point.matrix) <= 1e-12
 
 
-def test_batch_reports_the_lowest_failing_problem_and_keeps_going():
-    # problem 1 stops at the cut locus at its start and problem 3 leaves the
-    # Newton domain at its first step; problems 0 and 2 converge meanwhile
+def test_batch_reports_the_lowest_failing_problem_and_keeps_going(monkeypatch):
+    # problem 1 stops at the cut locus at its start and problem 3 fails its
+    # first Newton step; problems 0 and 2 converge meanwhile
+    newton_step, calls = karcher._newton_step, []
+
+    def failing(*args):
+        step, errors = newton_step(*args)
+        if not calls:  # the running problems are 0, 2 and 3
+            errors[2] = DegenerateCurvatureError("forced failure")
+        calls.append(len(errors))
+        return step, errors
+
+    monkeypatch.setattr(karcher, "_newton_step", failing)
     rng = np.random.default_rng(41)
     frame = random_unitary(4, rng)
     stack = np.stack([[b.matrix for b in basis_cloud(4, 1, 6, 0.5, rng, frame)]
                       for _ in range(4)])
-    stack[1, 2], stack[3, 4] = frame[:, 1:2], frame[:, :1]
+    stack[1, 2] = frame[:, 1:2]
     seen = []
     with pytest.raises(CutLocusError) as info:
         karcher_mean(KarcherProblem(_stack=stack), init=projector_from_basis(frame[:, :1]),
@@ -745,7 +739,7 @@ def test_batch_reports_the_lowest_failing_problem_and_keeps_going():
     assert (info.value.problem, info.value.index) == (1, 2)
     assert info.value.trace.status == "cut_locus" and info.value.trace.iterations == 0
     assert seen[0] == [True, False, True, True]
-    assert seen[1] == [True, False, True, False]
+    assert seen[1] == [True, False, True, False] and calls[:2] == [3, 2]
 
 
 def test_projector_data_take_one_batched_eigh():
@@ -783,3 +777,6 @@ def test_cost_and_gradient_raise_at_the_cut_locus():
         karcher_cost(problem, at)
     with pytest.raises(CutLocusError):
         karcher_gradient(problem, at)
+    with pytest.raises(CutLocusError) as info:
+        newton_step_cp(problem, at, zero_tangent(at))
+    assert info.value.index == 0

@@ -337,7 +337,7 @@ def _overlap_svd(square: np.ndarray, vectors: bool):
     cos = np.abs(square[..., 0])
     if not vectors:
         return cos
-    return square / np.maximum(cos, _TINY)[..., np.newaxis], cos, np.ones_like(square)
+    return square * (1.0 / np.maximum(cos, _TINY))[..., np.newaxis], cos, np.ones_like(square)
 
 
 def _principal_angles(cols: np.ndarray, ys: np.ndarray, logs: bool):
@@ -351,7 +351,7 @@ def _principal_angles(cols: np.ndarray, ys: np.ndarray, logs: bool):
     ``logs`` (else None) the sum over i of R diag(theta / sin theta) L^H Y_i^H X2,
     the top-right block of sum_i log_X(span Y_i) in the frame [X X2] (Edelman,
     Arias & Smith 1998); per problem, the worst datum whose smallest squared
-    cosine is at most CUT_LOCUS_TOL, or -1; and the overlaps, (N, m, n) for a frame.
+    cosine is at most CUT_LOCUS_TOL, or -1; and, likewise, (Y_i^H cols, L, C, R^H).
     """
     *batch, count, n, m = ys.shape
     over = (ys.conj().swapaxes(-1, -2).reshape(*batch, count * m, n) @ cols).reshape(
@@ -362,16 +362,19 @@ def _principal_angles(cols: np.ndarray, ys: np.ndarray, logs: bool):
         cos = _overlap_svd(over[..., :m], False)
     cos = np.minimum(cos, 1.0)
     low = cos[..., -1] ** 2
-    cut = np.where(low.min(-1) <= CUT_LOCUS_TOL, low.argmin(-1), -1)
+    cut = np.full(low.shape[:-1], -1)
+    if low.min() <= CUT_LOCUS_TOL:  # rare: the per-problem index is built only then
+        cut = np.where(low.min(-1) <= CUT_LOCUS_TOL, low.argmin(-1), -1)
     angles = np.arccos(cos)
     if not logs:
-        return angles, None, cut, over
+        return angles, None, cut, None
     floored = np.maximum(angles, _TINY)  # theta / sin(theta) -> 1 at theta = 0
     right = right_h.conj().swapaxes(-1, -2) * (floored / np.sin(floored))[..., np.newaxis, :]
     coef = right @ left.conj().swapaxes(-1, -2)  # (N, m, m)
     # sum_i coef_i (Y_i^H X2) as one GEMM over the stacked (datum, column) index
     stacked = coef.swapaxes(-3, -2).reshape(*batch, m, count * m)
-    return angles, stacked @ over[..., m:].reshape(*batch, count * m, -1), cut, over
+    return (angles, stacked @ over[..., m:].reshape(*batch, count * m, -1), cut,
+            (over, left, cos, right_h))
 
 
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:

@@ -4,12 +4,12 @@ The cost is the mean squared geodesic distance to a fixed set of subspaces,
 held as one (N, n, m) stack of orthonormal bases. One batched principal-angle
 kernel call per iterate gives the cost (the squared angles), the gradient (the
 summed logs of the data, as blocks in a unitary frame [X1 X2] of the current
-point) and the overlaps Y_i^H [X1 X2] that the Newton step reads. The solver
-carries that frame (Edelman, Arias & Smith 1998): a tangent vector is its
-m-by-(n-m) block, geodesics move the whole frame, and parallel transport leaves
-blocks unchanged. Direction rules are the classical conjugate ones; step sizes
-come from backtracking or, at any rank, a Newton step on the cost's exact
-second derivative along the geodesic.
+point) and the factored overlaps Y_i^H [X1 X2] that the Newton step reads. The
+solver carries that frame (Edelman, Arias & Smith 1998): a tangent vector is
+its m-by-(n-m) block, geodesics move the whole frame, and parallel transport
+leaves blocks unchanged. Direction rules are the classical conjugate ones;
+step sizes come from backtracking or, at any rank, a Newton step on the cost's
+exact second derivative along the geodesic.
 Projector objects are built only for the result and the callback.
 """
 
@@ -34,7 +34,6 @@ from .grassmann import (
     TangentVector,
     _frame,
     _geodesic,
-    _overlap_svd,
     _point,
     _principal_angles,
     _tangent_block,
@@ -190,15 +189,15 @@ def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
 
 
 def _evaluate(bases: np.ndarray, frame: np.ndarray):
-    """Angles, cost, residual block, cut index and overlaps at ``frame``: one kernel call.
+    """Angles, cost, residual block, cut index and factored overlaps at ``frame``.
 
     The residual, minus the summed data logs, is N/2 times the gradient of
     karcher_cost. The solver searches along it, so the step 1/N is the
     Karcher fixed-point step (a move by the mean log) and step 1 is exact for
     one datum.
     """
-    angles, block, cut, over = _principal_angles(frame, bases, True)
-    return angles, _cost(angles), -block, cut, over
+    angles, block, cut, factors = _principal_angles(frame, bases, True)
+    return angles, _cost(angles), -block, cut, factors
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
@@ -242,12 +241,12 @@ def _at_noise_floor(decrease: float, value0: float) -> bool:
     return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
 
-def _newton_step(over: np.ndarray, block: np.ndarray, angles: np.ndarray, slope: np.ndarray):
+def _newton_step(factors: tuple, block: np.ndarray, angles: np.ndarray, slope: np.ndarray):
     """Newton step sizes -F'(0) / |F''(0)| along the tangent blocks D = ``block`` of a frame.
 
-    ``over`` and ``angles`` are the kernel's (N, m, n) overlaps Y_i^H [X1 X2]
-    and (N, m) angles at that frame, ``slope`` is F'(0), and leading axes are
-    a batch. With Y_i^H X1 = L C R^H (``_overlap_svd``), W_i = (Y_i^H X2)^H L
+    ``factors`` and ``angles`` are the kernel's (N, m, n) overlaps Y_i^H [X1 X2]
+    with the factors Y_i^H X1 = L C R^H, and its (N, m) angles, at that frame;
+    ``slope`` is F'(0), and leading axes are a batch. With W_i = (Y_i^H X2)^H L
     diag(1 / sin theta) (0 where sin theta = 0), T = R^H D, P = T W_i and the
     Jacobi-field weights w(phi) = phi cot phi (Absil, Mahony & Sepulchre, Acta
     Appl. Math. 2004; Ferreira, Xavier, Costeira & Barroso, IEEE JSTSP 2013),
@@ -256,8 +255,8 @@ def _newton_step(over: np.ndarray, block: np.ndarray, angles: np.ndarray, slope:
     finite below the cut locus. Returns the steps and a list of None or each
     problem's DegenerateCurvatureError; a failed problem's step is 0.
     """
+    over, left, cos, right_h = factors
     *batch, count, m, n = over.shape
-    left, cos, right_h = _overlap_svd(over[..., :m], True)
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = np.where(cos < 1.0, 1.0 / np.sqrt(1.0 - cos * cos), 0.0)  # 1 / sin theta
         # (Y_i^H X2) D^H of every datum from one GEMM over the stacked (datum, column) index
@@ -291,11 +290,11 @@ def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
     """Newton step size along ``direction``; CutLocusError as ``karcher_cost``."""
     frame, m = _frame_of(problem, point), problem.rank
     require_anchored(direction, point)
-    angles, _, grad, cut, over = _evaluate(problem.bases, frame)
+    angles, _, grad, cut, factors = _evaluate(problem.bases, frame)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     block = _tangent_block(frame, m, direction.matrix)
-    step, (error,) = _newton_step(over, block, angles, (2.0 / problem.size) * _metric(grad, block))
+    step, (error,) = _newton_step(factors, block, angles, (2.0 / problem.size) * _metric(grad, block))
     if error is not None:
         raise error
     return float(step)
@@ -414,15 +413,14 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
             try:
                 if not backtrack:
-                    step, errors = _newton_step(over, direction, angles, np.array(slopes))
+                    step, errors = _newton_step(factors, direction, angles, np.array(slopes))
                     capped = (step > NEWTON_STEP_CAP).tolist()
                     steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
                 path = _geodesic(frame, m, direction)
                 for k in range(size) if backtrack else ():
 
                     def line_value(a):
-                        trial, _, cut, _ = _principal_angles(np.linalg.qr(path(a)[k])[0],
-                                                             bases[k], False)
+                        trial, _, cut, _ = _principal_angles(path(a)[k], bases[k], False)
                         return np.inf if cut >= 0 else float(_cost(trial))
 
                     while not noise_floor[k]:
@@ -437,16 +435,15 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                             # noise; retry from steepest descent before giving up
                             direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
                             path = _geodesic(frame, m, direction)
-                # re-orthonormalize, folding R's diagonal phases back into Q so the
-                # frame stays the transported one and carried blocks stay valid
-                frame, tri = np.linalg.qr(path(np.array(steps), full=True))
-                phases = tri.diagonal(0, -2, -1)
-                frame = frame * (phases / np.abs(phases))[:, np.newaxis, :]
+                # the flow is unitary up to rounding; one Bjorck-Bowie polar step F(3I - F^H F)/2
+                # restores it, and the nearest unitary keeps carried blocks valid
+                moved = path(np.array(steps), full=True)
+                frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
             except GrassmeanError as err:  # raised by a step function for the whole batch
                 if err.status is None:
                     raise
                 errors = [err] * size
-        angles, new_cost, new_grad, cut, over = _evaluate(bases, frame)
+        angles, new_cost, new_grad, cut, factors = _evaluate(bases, frame)
         new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
         periodic = iteration > 0 and iteration % period == 0
         if iteration == 0 or periodic:
@@ -476,8 +473,8 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 break
             ids, cost, gnorm = ([v for v, go in zip(part, keep) if go] for part in (ids, cost, gnorm))
             keep = np.array(keep)
-            bases, frame, angles, over, grad, direction = (
-                part[keep] for part in (bases, frame, angles, over, grad, direction))
+            bases, frame, angles, grad, direction, *factors = (
+                part[keep] for part in (bases, frame, angles, grad, direction, *factors))
     result[ids] = frame
     for index, trace in enumerate(traces):
         trace.status = failed[index].status if index in failed else (

@@ -30,6 +30,7 @@ from grassmean.grassmann import (
 )
 from grassmean.karcher import (
     NOISE_SLOPE_FACTOR,
+    STEP_RULES,
     CGConfig,
     KarcherProblem,
     _coefficient,
@@ -122,7 +123,8 @@ def test_projector_data_are_not_validated_again(monkeypatch):
 def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     # each iterate takes its angles, cost, residual and overlaps from one
     # kernel call on its frame; calls without logs serve line-search trials
-    # only, and the Newton rule reads the overlaps of the iterate's own call
+    # only, and the Newton rule reads the factored overlaps of the iterate's
+    # own call
     calls = {"frame": 0, "basis": 0}
     kernel = karcher._principal_angles
     returned, passed = [], []
@@ -135,9 +137,9 @@ def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
 
     newton_step = karcher._newton_step
 
-    def watched(over, *args):
-        passed.append(over is returned[-1])
-        return newton_step(over, *args)
+    def watched(factors, *args):
+        passed.append(factors is returned[-1])
+        return newton_step(factors, *args)
 
     trials = []
     search = karcher.backtracking_step
@@ -606,6 +608,37 @@ def test_gapped_start_is_the_anchor_eigenvector_frame(monkeypatch):
     assert trace.converged
     assert trace.iterates[0].cost == pytest.approx(
         karcher_cost(problem, default_init(problem)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, count, step_rule", [
+    (6, 3, 10, "backtracking"), (8, 1, 50, "newton_cp")])
+def test_frames_stay_unitary_over_long_runs(n, m, count, step_rule):
+    # the callback's points are built from the carried frame without a check,
+    # so rounding drift of the frame would show only here
+    _, points = random_cloud(n, m, count, 0.5, np.random.default_rng(35))
+    defects = []
+
+    def watch(iteration, point, *_):
+        proj = point.matrix
+        defects.append((np.linalg.norm(proj @ proj - proj), abs(np.trace(proj).real - m)))
+
+    config = CGConfig(step_rule=step_rule, grad_tol=1e-300, max_iter=300)
+    _, trace = karcher_mean(KarcherProblem(points), config=config, callback=watch)
+    assert trace.status == "max_iter" and len(defects) == 301
+    assert max(max(pair) for pair in defects) <= 1e-13
+
+
+@pytest.mark.parametrize("step_rule", STEP_RULES)
+def test_the_solver_loop_runs_no_qr(monkeypatch, step_rule):
+    # the flow moves the frame in closed form and a polar step keeps it
+    # unitary; the gapped start is an eigh frame, so no solve needs a QR
+    _, problem = ball_problem(6, 2, 8, 0.3, seed=32)
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
+    _, trace = karcher_mean(problem, config=CGConfig(step_rule=step_rule))
+    assert trace.converged and trace.iterations >= 2
+    assert not calls
 
 
 def test_cut_locus_failure_attaches_trace():

@@ -29,7 +29,7 @@ from .exceptions import (
     IllConditionedError,
     InvalidInputError,
 )
-from .grassmann import STIEFEL_TOL, _frame, _stiefel_defects
+from .grassmann import STIEFEL_TOL, _frame, _stiefel_defects, _trusted
 from .karcher import CGConfig, KarcherProblem, karcher_mean
 from . import linalg
 
@@ -37,6 +37,7 @@ COND_LIMIT = 1e10
 AMARI_COND_LIMIT = 1e12
 CIRCULARITY_GAP_TOL = 1e-3
 MIN_SAMPLES_PER_SOURCE = 10
+TRIAL_CONFIG = CGConfig(step_rule="newton_cp")  # the solver settings of every column average
 
 
 @dataclass(frozen=True)
@@ -256,24 +257,20 @@ def align_columns(estimates: EstimateSet) -> EstimateSet:
         assignment[every, k] = j
         free[every, k, :] = -1.0
         free[every, :, j] = -1.0
-    aligned = object.__new__(EstimateSet)
-    object.__setattr__(aligned, "matrices", np.take_along_axis(mats, assignment[:, None, :], 2))
-    aligned.matrices.setflags(write=False)
-    return aligned
+    return _trusted(EstimateSet, matrices=np.take_along_axis(mats, assignment[:, None, :], 2))
 
 
-def average_karcher(aligned: EstimateSet, config: CGConfig = None) -> list:
+def average_karcher(aligned: EstimateSet) -> list:
     """Column-wise Karcher means of the aligned estimates on projective space.
 
     Returns one rank-one GrassmannPoint per column. All columns are solved in
-    one batched ``karcher_mean`` call; the lowest failing column's error is
-    re-raised with its trace, its ``column`` set and the column named.
+    one batched ``karcher_mean`` call under TRIAL_CONFIG; the lowest failing
+    column's error is re-raised with its trace, its ``column`` set and the
+    column named.
     """
-    if config is None:
-        config = CGConfig(step_rule="newton_cp")
     columns = np.ascontiguousarray(aligned.matrices.transpose(2, 0, 1)[..., np.newaxis])
     try:
-        means, _ = karcher_mean(KarcherProblem(_stack=columns), config=config)
+        means, _ = karcher_mean(KarcherProblem(_stack=columns), config=TRIAL_CONFIG)
     except GrassmeanError as err:
         if err.problem is not None:
             err.column = err.problem
@@ -358,17 +355,16 @@ def _trial_estimates(cfg: MixingExperiment, rng):
     return mixing, _sut(covs, pseudos)
 
 
-def _run_trial(cfg: MixingExperiment, rng, cg_config: CGConfig):
+def _run_trial(cfg: MixingExperiment, rng):
     mixing, estimates = _trial_estimates(cfg, rng)
     aligned = align_columns(EstimateSet(estimates))
-    means = average_karcher(aligned, cg_config)
+    means = average_karcher(aligned)
     karcher_est = _frame(np.array([p.matrix for p in means]), 1)[..., 0].T
     euclid_est = average_euclid(aligned)
     return amari_error(karcher_est, mixing), amari_error(euclid_est, mixing)
 
 
-def run_experiment(cfg: MixingExperiment, sweep_param: str, sweep_values,
-                   cg_config: CGConfig = None) -> list:
+def run_experiment(cfg: MixingExperiment, sweep_param: str, sweep_values) -> list:
     """Run the benchmark over a sweep of one configuration parameter.
 
     ``sweep_param`` is "noise_level" or "n_estimations". Each (value, trial)
@@ -383,15 +379,13 @@ def run_experiment(cfg: MixingExperiment, sweep_param: str, sweep_values,
     values = list(sweep_values)
     if not values:
         raise InvalidInputError("sweep needs at least one value")
-    if cg_config is None:
-        cg_config = CGConfig(step_rule="newton_cp")
     rows = []
     for value in values:
         trial_cfg = replace(cfg, **{sweep_param: value})
         for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.rng_seed, trial])
             try:
-                score_k, score_e = _run_trial(trial_cfg, rng, cg_config)
+                score_k, score_e = _run_trial(trial_cfg, rng)
                 status = "ok"
             except GrassmeanError as err:
                 if err.status is None:

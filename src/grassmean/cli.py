@@ -16,13 +16,7 @@ import sys
 from . import __version__
 from .blindid import MixingExperiment, run_experiment
 from .exceptions import CutLocusError, GrassmeanError, InvalidInputError
-from .files import (
-    SubspaceFileError,
-    read_subspace_file,
-    write_results_csv,
-    write_subspace_file,
-    write_trace_csv,
-)
+from .files import read_subspace_file, write_results_csv, write_subspace_file, write_trace_csv
 from .grassmann import basis_from_projector, dist, principal_angles, projector_from_basis
 from .karcher import CGConfig, DIRECTION_RULES, KarcherProblem, karcher_mean
 
@@ -75,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--eps-list", default="1,0.5,0.2,0.1,0.01",
                             help="comma-separated mixing perturbation levels")
     experiment.add_argument("--nest-list", default="10",
-                            help="comma-separated estimation counts per trial")
+                            help="comma-separated estimation counts per trial; "
+                                 "a sweep needs a single --eps-list value (the default has five)")
     experiment.add_argument("--trials", type=int, default=100, help="trials per sweep value")
     experiment.add_argument("--samples", type=int, default=10000,
                             help="observations per estimation")
@@ -176,12 +171,9 @@ def main(argv=None) -> int:
         if args.command == "distance":
             return _run_distance(args)
         return _run_experiment_cmd(args)
-    except (SubspaceFileError, InvalidInputError, OSError) as err:
+    except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except CutLocusError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CUT_LOCUS
 
 
 def console_main():

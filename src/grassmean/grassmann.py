@@ -13,7 +13,7 @@ kernel computes from orthonormal bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class GrassmannPoint:
     rank: int = None  # inferred from the trace when omitted
 
     def __post_init__(self):
+        if self.rank is not None and (isinstance(self.rank, bool)
+                                      or not isinstance(self.rank, Integral)):
+            raise InvalidInputError(f"rank must be an integer, got {self.rank!r}")
         proj = linalg.require_hermitian(self.matrix, "projector")
         defect = np.linalg.norm(proj @ proj - proj)
         if defect >= PROJECTOR_TOL:
@@ -104,10 +107,7 @@ class StiefelBasis:
                                     f"(defect {defects[bad[0]]:.3e})")
         stack = np.array(stack, dtype=complex)
         stack.setflags(write=False)
-        bases = [object.__new__(cls) for _ in stack]
-        for basis, mat in zip(bases, stack):
-            object.__setattr__(basis, "matrix", mat)
-        return bases
+        return [_trusted(cls, matrix=mat) for mat in stack]
 
     @property
     def dim(self) -> int:
@@ -204,6 +204,21 @@ def _frame(proj: np.ndarray, m: int) -> np.ndarray:
     return np.ascontiguousarray(vecs[..., ::-1])
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set and not checked.
+
+    For objects the package builds valid by construction; array fields are
+    made read-only, as the checked constructors leave them.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        # views of a read-only stack, as ``_split`` makes, are read-only already
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
     """The span of the first m columns of an orthonormal ``frame``, as a projector.
 
@@ -211,11 +226,7 @@ def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
     """
     x1 = frame[:, :m]
     proj = x1 @ x1.conj().T
-    point = object.__new__(GrassmannPoint)
-    object.__setattr__(point, "matrix", 0.5 * (proj + proj.conj().T))
-    object.__setattr__(point, "rank", m)
-    point.matrix.setflags(write=False)
-    return point
+    return _trusted(GrassmannPoint, matrix=0.5 * (proj + proj.conj().T), rank=m)
 
 
 def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
@@ -292,8 +303,8 @@ def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
 def _moved_frame(point: GrassmannPoint, velocity: TangentVector, t: float):
     """The frame of ``point`` and its image at t under the flow of ``velocity``."""
     require_anchored(velocity, point)
-    if not np.isfinite(t):
-        raise InvalidInputError("geodesic parameter must be finite")
+    if isinstance(t, bool) or not isinstance(t, Real) or not -np.inf < t < np.inf:
+        raise InvalidInputError(f"geodesic parameter must be a finite real number, got {t!r}")
     m = point.rank
     frame = _frame(point.matrix, m)
     path = _geodesic(frame, m, _tangent_block(frame, m, velocity.matrix))

@@ -23,7 +23,6 @@ import numpy as np
 from .exceptions import (
     CutLocusError,
     DegenerateCurvatureError,
-    GrassmeanError,
     InvalidInputError,
     LineSearchFailedError,
     NotDescentDirectionError,
@@ -38,6 +37,7 @@ from .grassmann import (
     _principal_angles,
     _tangent_block,
     _tangent_matrix,
+    _trusted,
     complete_frame,
     projector_from_basis,
     require_anchored,
@@ -146,16 +146,13 @@ def _stack_of(data: tuple) -> np.ndarray:
         stray = next(item for item in data if not isinstance(item, _DATA_TYPES))
         raise InvalidInputError(
             f"problem data must be StiefelBasis or GrassmannPoint, got {type(stray).__name__}")
-    mats = [item.matrix for item in data]
-    points = [k for k, item in enumerate(data) if isinstance(item, GrassmannPoint)]
-    if len({(mats[k].shape, data[k].rank) for k in points}) > 1:
+    if len({(item.dim, item.rank) for item in data}) > 1:
         raise InvalidInputError("points live on different Grassmannians")
+    mats, m = [item.matrix for item in data], data[0].rank
+    points = [k for k, item in enumerate(data) if isinstance(item, GrassmannPoint)]
     if points:
-        m = data[points[0]].rank
         for k, frame in zip(points, _frame(np.array([mats[k] for k in points]), m)):
             mats[k] = frame[:, :m]
-    if len({mat.shape for mat in mats}) > 1:
-        raise InvalidInputError("points live on different Grassmannians")
     stack = np.array(mats)
     stack.setflags(write=False)
     return stack
@@ -376,8 +373,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     its own state and trace until it stops; one problem is a batch of one. A
     batch returns B points and a BatchTrace, its callback gets tuples of B
     points, gradients and directions (None once stopped), and it raises the
-    first failed problem's error, with ``err.problem`` its index. A typed
-    error raised by a step function itself stops every running problem.
+    first failed problem's error, with ``err.problem`` its index.
     """
     if config is None:
         config = CGConfig()
@@ -393,8 +389,9 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
 
     def view(k):  # the callback's point, gradient and direction of running problem k
         point = _point(frame[k], m)
-        return (point, TangentVector(point, _tangent_matrix(frame[k], m, grad[k])),
-                TangentVector(point, _tangent_matrix(frame[k], m, direction[k])))
+        return (point, *(_trusted(TangentVector, base=point,
+                                  matrix=_tangent_matrix(frame[k], m, block[k]))
+                         for block in (grad, direction)))
 
     # per-problem scalars are lists, and blocks and frames arrays, over the
     # running problems in problem order
@@ -411,38 +408,33 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
             for k in range(size):
                 if noise_floor[k] or not slopes[k] < 0.0:
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
-            try:
-                if not backtrack:
-                    step, errors = _newton_step(factors, direction, angles, np.array(slopes))
-                    capped = (step > NEWTON_STEP_CAP).tolist()
-                    steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
-                path = _geodesic(frame, m, direction)
-                for k in range(size) if backtrack else ():
+            if not backtrack:
+                step, errors = _newton_step(factors, direction, angles, np.array(slopes))
+                capped = (step > NEWTON_STEP_CAP).tolist()
+                steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
+            path = _geodesic(frame, m, direction)
+            for k in range(size) if backtrack else ():
 
-                    def line_value(a):
-                        trial, _, cut, _ = _principal_angles(path(a)[k], bases[k], False)
-                        return np.inf if cut >= 0 else float(_cost(trial))
+                def line_value(a):
+                    trial, _, cut, _ = _principal_angles(path(a)[k], bases[k], False)
+                    return np.inf if cut >= 0 else float(_cost(trial))
 
-                    while not noise_floor[k]:
-                        try:
-                            steps[k] = backtracking_step(line_value, cost[k], slopes[k], first_step)
+                while not noise_floor[k]:
+                    try:
+                        steps[k] = backtracking_step(line_value, cost[k], slopes[k], first_step)
+                        break
+                    except LineSearchFailedError as err:
+                        if forced[k]:  # a failed problem does not move
+                            errors[k], steps[k] = err, 0.0
                             break
-                        except LineSearchFailedError as err:
-                            if forced[k]:  # a failed problem does not move
-                                errors[k], steps[k] = err, 0.0
-                                break
-                            # a stale conjugate direction can degenerate to numerical
-                            # noise; retry from steepest descent before giving up
-                            direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
-                            path = _geodesic(frame, m, direction)
-                # the flow is unitary up to rounding; one Bjorck-Bowie polar step F(3I - F^H F)/2
-                # restores it, and the nearest unitary keeps carried blocks valid
-                moved = path(np.array(steps), full=True)
-                frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
-            except GrassmeanError as err:  # raised by a step function for the whole batch
-                if err.status is None:
-                    raise
-                errors = [err] * size
+                        # a stale conjugate direction can degenerate to numerical
+                        # noise; retry from steepest descent before giving up
+                        direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
+                        path = _geodesic(frame, m, direction)
+            # the flow is unitary up to rounding; one Bjorck-Bowie polar step
+            # F(3I - F^H F)/2 restores it, and the nearest unitary keeps carried blocks valid
+            moved = path(np.array(steps), full=True)
+            frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
         angles, new_cost, new_grad, cut, factors = _evaluate(bases, frame)
         new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
         periodic = iteration > 0 and iteration % period == 0

@@ -56,6 +56,8 @@ def test_experiment_config_validation():
         MixingExperiment(noise_level=-0.1)
     with pytest.raises(InvalidInputError):
         MixingExperiment(samples_per_trial=20)
+    with pytest.raises(InvalidInputError, match="at least one trial"):
+        MixingExperiment(trials=0)
     # non-finite noise and non-integral counts are caught at the boundary,
     # before any trial draws
     for bad in ({"noise_level": np.nan}, {"noise_level": np.inf}, {"n": 2.5},
@@ -96,6 +98,8 @@ def test_generate_sources_is_the_documented_mix():
 def test_generate_sources_rejects_short_batch():
     with pytest.raises(InvalidInputError):
         generate_sources(5, 40, np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="at least 50 samples"):
+        sut_estimate(generate_sources(5, 50, np.random.default_rng(0))[:, :49])
 
 
 def test_mix_is_exact():
@@ -107,6 +111,8 @@ def test_mix_is_exact():
     np.testing.assert_allclose(mix(a, z, 0.7, s), (a + 0.7 * z) @ s, atol=1e-14)
     with pytest.raises(InvalidInputError):
         mix(a, np.eye(2), 1.0, s)
+    with pytest.raises(InvalidInputError, match="shapes are incompatible"):
+        mix(a, z, 1.0, s[:2])
 
 
 def test_takagi_reconstruction():
@@ -120,6 +126,8 @@ def test_takagi_reconstruction():
         assert np.linalg.norm(factor.conj().T @ factor - np.eye(n)) < 1e-10
         recon = factor @ np.diag(vals) @ factor.T
         assert np.linalg.norm(recon - sym) < 1e-10 * max(1.0, np.linalg.norm(sym))
+    with pytest.raises(InvalidInputError, match="must be square"):
+        takagi(np.ones((2, 3)))
 
 
 def test_takagi_degenerate_and_zero_spectrum():
@@ -264,6 +272,8 @@ def test_estimate_set_validation():
         EstimateSet(np.zeros((0, 3, 3)))
     with pytest.raises(InvalidInputError):
         EstimateSet(np.zeros((2, 0, 0)))
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        EstimateSet(np.stack([np.eye(3), np.full((3, 3), np.nan)]))
     stack = EstimateSet(np.stack([np.eye(3), np.eye(3)]))
     assert stack.count == 2 and stack.n == 3
     proj = projector_from_basis(StiefelBasis(stack.matrices[0][:, 1:2]))
@@ -473,8 +483,15 @@ def test_run_experiment_records_failures(monkeypatch):
 ])
 def test_typed_failures_carry_their_status(monkeypatch, module, name, error, status):
     # the status strings are stored in results CSVs and counted by the
-    # benchmark, so they are pinned literally; errors without one propagate
+    # benchmark, so they are pinned literally; errors without one propagate.
+    # A typed solver failure reaches the row the one way a solve fails: as
+    # the per-problem errors that the Newton step returns
+    newton_step = karcher._newton_step
+
     def broken(*args):
+        if module is karcher and status is not None:
+            step, errors = newton_step(*args)
+            return step, [error("forced failure")] * len(errors)
         raise error("forced failure")
 
     monkeypatch.setattr(module, name, broken)

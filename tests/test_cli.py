@@ -181,6 +181,22 @@ def test_bi_experiment_writes_results(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bi_experiment_sweeps_the_estimation_count(tmp_path, capsys):
+    # --nest-list varies only beside a single --eps-list value; the default
+    # --eps-list has five values, so a count sweep must name one
+    out = tmp_path / "rows.csv"
+    args = ["bi-experiment", "--n", "3", "--nest-list", "2,3", "--trials", "2",
+            "--samples", "300", "--out", str(out)]
+    assert main(args) == 1
+    assert "only one of --eps-list and --nest-list" in capsys.readouterr().err
+    assert main(args + ["--eps-list", "0.5"]) == 0
+    assert "rows = 4" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[1], row[2]) for row in rows] == [
+        ("0", "n_estimations", "2.0"), ("1", "n_estimations", "2.0"),
+        ("0", "n_estimations", "3.0"), ("1", "n_estimations", "3.0")]
+
+
 def test_bi_experiment_flag_validation(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     assert main(["bi-experiment", "--eps-list", "1,0.5", "--nest-list", "2,4",

@@ -155,6 +155,16 @@ def test_read_validates_header_fields(tmp_path):
     with pytest.raises(SubspaceFileError, match="count says 2"):
         read_subspace_file(path)
 
+    bad = dict(good, count=0)
+    write_payload(path, bad)
+    with pytest.raises(SubspaceFileError, match="count must be positive"):
+        read_subspace_file(path)
+
+    bad = dict(good, bases={"0": good["bases"][0]})
+    write_payload(path, bad)
+    with pytest.raises(SubspaceFileError, match="'bases' must be a list"):
+        read_subspace_file(path)
+
 
 def test_read_validates_entries(tmp_path):
     path = tmp_path / "f.json"

@@ -30,6 +30,15 @@ def test_point_validation():
         GrassmannPoint(np.array([[0.5, 0.0], [0.0, 0.5]]))  # not idempotent
     with pytest.raises(InvalidInputError):
         GrassmannPoint(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    with pytest.raises(InvalidInputError, match="is not the integer rank 2"):
+        GrassmannPoint(np.diag([1.0, 0.0, 0.0]), rank=2)
+    with pytest.raises(InvalidInputError, match="out of range"):
+        GrassmannPoint(np.zeros((3, 3)))  # rank 0
+    # a given rank must be an integer, not a bool, float or string
+    for rank in (True, 1.7, "1"):
+        with pytest.raises(InvalidInputError, match="rank must be an integer"):
+            GrassmannPoint(np.diag([1.0, 0.0, 0.0]), rank=rank)
+    assert GrassmannPoint(np.diag([1.0, 0.0, 0.0]), rank=np.int64(1)).rank == 1
     p = GrassmannPoint(np.diag([1.0, 0.0, 0.0]))
     assert p.rank == 1 and p.dim == 3
     with pytest.raises(ValueError):
@@ -39,6 +48,8 @@ def test_point_validation():
 def test_stiefel_basis_validation():
     with pytest.raises(InvalidInputError):
         StiefelBasis(np.array([[1.0], [1.0]]))
+    with pytest.raises(InvalidInputError, match="is not tall"):
+        StiefelBasis(np.eye(2, 3))
     basis = StiefelBasis(np.eye(3)[:, :2])
     assert basis.dim == 3 and basis.rank == 2
 
@@ -136,6 +147,10 @@ def test_tangent_vector_validation_and_arithmetic():
     p = random_point(5, 2, rng)
     with pytest.raises(InvalidInputError):
         TangentVector(p, np.eye(5))  # Hermitian but not tangent
+    with pytest.raises(InvalidInputError, match="does not match base dimension"):
+        TangentVector(p, np.zeros((4, 4)))
+    with pytest.raises(InvalidInputError, match="does not match dimension"):
+        tangent_project(p, np.eye(4))
     xi = random_tangent(p, rng, 1.0)
     eta = random_tangent(p, rng, 2.0)
     assert abs((xi + eta - xi).norm() - eta.norm()) < 1e-12
@@ -144,6 +159,16 @@ def test_tangent_vector_validation_and_arithmetic():
     q = random_point(5, 2, rng)
     with pytest.raises(InvalidInputError):
         metric(xi, random_tangent(q, rng, 1.0))
+    with pytest.raises(InvalidInputError, match="different Grassmannian"):
+        metric(xi, random_tangent(random_point(5, 3, rng), rng, 1.0))
+    # the geodesic parameter is a finite real number, not a bool
+    for t in ("1", None, 1j, True, np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="geodesic parameter"):
+            geodesic(p, xi, t)
+        with pytest.raises(InvalidInputError, match="geodesic parameter"):
+            parallel_transport(eta, xi, t)
+    assert np.array_equal(geodesic(p, xi, np.float64(0.5)).matrix, geodesic(p, xi, 0.5).matrix)
+    assert np.array_equal(geodesic(p, xi, np.int64(1)).matrix, exp(p, xi).matrix)
 
 
 def test_geodesic_stays_on_manifold_and_is_additive():

@@ -18,6 +18,7 @@ from grassmean.grassmann import (
     StiefelBasis,
     TangentVector,
     basis_from_projector,
+    commutator,
     complete_frame,
     dist,
     exp,
@@ -66,6 +67,10 @@ def test_problem_validation():
         KarcherProblem((p, StiefelBasis(np.eye(4, 1))))
     with pytest.raises(InvalidInputError):
         KarcherProblem((StiefelBasis(np.eye(5, 2)), p))
+    problem = KarcherProblem((p,))
+    for other in (q, random_point(4, 1, rng)):
+        with pytest.raises(InvalidInputError, match="problem's Grassmannian"):
+            karcher_cost(problem, other)
 
 
 def test_problem_accepts_bases_or_points_alike():
@@ -104,6 +109,18 @@ def test_solver_builds_projector_objects_only_for_the_result(monkeypatch, m, ste
         assert built.get("TangentVector", 0) == 0
         assert built.get("GrassmannPoint", 0) <= 2
     assert trace.converged and trace.iterations >= 3
+    # the callback's tangents are built from blocks, valid by construction:
+    # none is validated, and each is read-only, exactly Hermitian and tangent
+    seen = []
+    built.clear()
+    karcher_mean(problem, config=CGConfig(step_rule=step_rule),
+                 callback=lambda it, point, *tangents: seen.extend(tangents))
+    assert built.get("TangentVector", 0) == 0 and len(seen) == 2 * (trace.iterations + 1)
+    for vector in seen:
+        mat, proj = vector.matrix, vector.base.matrix
+        assert not mat.flags.writeable and np.array_equal(mat, mat.conj().T)
+        defect = np.linalg.norm(commutator(proj, commutator(proj, mat)) - mat)
+        assert defect <= 1e-12 * max(1.0, np.linalg.norm(mat))
 
 
 def test_projector_data_are_not_validated_again(monkeypatch):
@@ -775,6 +792,67 @@ def test_batch_reports_the_lowest_failing_problem_and_keeps_going(monkeypatch):
     assert seen[1] == [True, False, True, False] and calls[:2] == [3, 2]
 
 
+def test_a_failed_line_search_retries_from_steepest_descent_then_stops(monkeypatch):
+    # every Armijo search fails: the first iteration tries its direction, then
+    # steepest descent, and the solve stops with the typed error and its trace
+    calls = []
+
+    def failing(objective, value0, slope, step):
+        calls.append(slope)
+        raise LineSearchFailedError("forced failure")
+
+    monkeypatch.setattr(karcher, "backtracking_step", failing)
+    _, problem = ball_problem(5, 2, 10, 0.5, seed=37)
+    with pytest.raises(LineSearchFailedError) as info:
+        karcher_mean(problem)
+    assert len(calls) == 2 and info.value.problem == 0
+    assert info.value.trace.status == "line_search_failed"
+    assert [item.iteration for item in info.value.trace.iterates] == [0]
+
+    # in a batch only the wide cloud, problem 1, fails its searches; the
+    # tight clouds converge and the error names problem 1
+    def wide_fails(objective, value0, slope, step):
+        if value0 > 0.2:  # the tight clouds start near cost 0.02, the wide one at 0.5
+            raise LineSearchFailedError("forced failure")
+        return backtracking_step(objective, value0, slope, step)
+
+    monkeypatch.setattr(karcher, "backtracking_step", wide_fails)
+    rng = np.random.default_rng(42)
+    frame = random_unitary(4, rng)
+    stack = np.stack([[b.matrix for b in basis_cloud(4, 2, 6, radius, rng, frame)]
+                      for radius in (0.3, 1.2, 0.3)])
+    last = {}
+
+    def watch(iteration, points, grads, directions):
+        last.update((b, grad.norm()) for b, grad in enumerate(grads) if grad is not None)
+
+    with pytest.raises(LineSearchFailedError) as info:
+        karcher_mean(KarcherProblem(_stack=stack), callback=watch)
+    assert info.value.problem == 1 and info.value.trace.status == "line_search_failed"
+    assert info.value.trace.iterations == 0
+    assert last[0] < CGConfig().grad_tol and last[2] < CGConfig().grad_tol
+
+
+def test_one_failed_line_search_restarts_and_the_solve_converges(monkeypatch):
+    # the third Armijo search (iteration 3) fails once; the retry runs from
+    # steepest descent, its iterate records the restart, and the solve goes on
+    calls = []
+
+    def fails_once(objective, value0, slope, step):
+        calls.append(slope)
+        if len(calls) == 3:
+            raise LineSearchFailedError("forced failure")
+        return backtracking_step(objective, value0, slope, step)
+
+    monkeypatch.setattr(karcher, "backtracking_step", fails_once)
+    _, problem = ball_problem(5, 2, 10, 0.5, seed=37)
+    _, trace = karcher_mean(problem)
+    assert trace.converged
+    assert [item.restart for item in trace.iterates[1:4]] == [False, False, True]
+    gnorm = trace.iterates[2].grad_norm
+    assert calls[3] == -2.0 * (1.0 / 10) * gnorm * gnorm  # the steepest-descent slope
+
+
 def test_projector_data_take_one_batched_eigh():
     # the bases of projector data are the ones _frame takes, bit for bit, from
     # one eigh over the whole stack; a rank-deficient projector is still rejected
@@ -813,3 +891,14 @@ def test_cost_and_gradient_raise_at_the_cut_locus():
     with pytest.raises(CutLocusError) as info:
         newton_step_cp(problem, at, zero_tangent(at))
     assert info.value.index == 0
+    # on CP^1 a datum at angle theta weighs the direction across it by
+    # w(2 theta) = 2 theta cot(2 theta), and the one along it by 1, so at
+    # phi = 2 theta with phi cot phi = -1 the curvature along D cancels
+    phi = 2.0287578381104342
+    assert abs(phi / np.tan(phi) + 1.0) < 1e-15
+    data = (StiefelBasis(np.array([[np.cos(0.3)], [np.sin(0.3)]], dtype=complex)),
+            StiefelBasis(np.array([[np.cos(phi / 2)], [1j * np.sin(phi / 2)]])))
+    at = projector_from_basis(np.eye(2, 1))
+    direction = TangentVector(at, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    with pytest.raises(DegenerateCurvatureError, match="numerically zero"):
+        newton_step_cp(KarcherProblem(data), at, direction)

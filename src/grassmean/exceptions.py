@@ -22,14 +22,14 @@ class CutLocusError(GrassmeanError):
     connecting geodesic is not unique.
 
     ``index`` identifies the offending datum when raised from a multi-point
-    computation.
+    computation, and the default message then names it.
     """
 
     status = "cut_locus"
 
-    def __init__(self, message="a datum is at the cut locus of the evaluation point",
-                 index=None):
-        super().__init__(message)
+    def __init__(self, message=None, index=None):
+        subject = "a datum" if index is None else f"datum {index}"
+        super().__init__(message or f"{subject} is at the cut locus of the evaluation point")
         self.index = index
 
 

@@ -9,7 +9,8 @@ solver carries that frame (Edelman, Arias & Smith 1998): a tangent vector is
 its m-by-(n-m) block, geodesics move the whole frame, and parallel transport
 leaves blocks unchanged. Direction rules are the classical conjugate ones;
 step sizes come from backtracking or, at any rank, a Newton step on the cost's
-exact second derivative along the geodesic.
+exact second derivative along the geodesic. A backtracking search reads its
+first trial from the next iterate's own kernel call.
 Projector objects are built only for the result and the callback.
 """
 
@@ -93,6 +94,8 @@ class CGIterate:
     direction_rule: str
     restart: bool
     step_capped: bool = False
+    shrinks: int = 0  # kernel evaluations of the line search beyond the iterate's own
+    noise_floor: bool = False  # the model step 1/N, taken without a comparison
 
 
 @dataclass
@@ -195,6 +198,21 @@ def _evaluate(bases: np.ndarray, frame: np.ndarray):
     """
     angles, block, cut, factors = _principal_angles(frame, bases, True)
     return angles, _cost(angles), -block, cut, factors
+
+
+def _move(path, steps, bases: np.ndarray, k: int = None) -> tuple:
+    """The frames at ``steps`` along ``path``, with their ``_evaluate``.
+
+    Returns (frame, angles, cost, residual, cut, factors) over the batch, or
+    for row ``k`` alone. The flow is unitary up to rounding; one Bjorck-Bowie
+    polar step F(3I - F^H F)/2 restores it, and the nearest unitary keeps
+    carried blocks valid.
+    """
+    moved = path(steps, full=True)
+    if k is not None:
+        moved, bases = moved[k], bases[k]
+    frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
+    return frame, *_evaluate(bases, frame)
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
@@ -368,6 +386,9 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     N/2 times karcher_gradient, so the result meets the tolerance in the
     gradient reading as well. Backtracking starts at the Karcher fixed-point
     step 1/N on that field (Afsari, Tron & Vidal 2013) and tests the mean cost.
+    Every running problem moves by its first trial step, and one evaluation of
+    the batch is both the Armijo test and the next iterate; only a shrunk trial
+    evaluates its own problem again (the trace's ``shrinks``).
 
     A batch (bases (B, N, n, m)) runs through the same loop, each problem with
     its own state and trace until it stops; one problem is a batch of one. A
@@ -398,6 +419,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     for iteration in range(config.max_iter + 1):
         size = len(ids)
         errors, capped, forced = [None] * size, [False] * size, [False] * size
+        noise_floor, shrinks = [False] * size, [0] * size
         steps = [first_step if iteration else 0.0] * size
         if iteration:
             # slopes of the mean cost, 2/N times those along the residual field
@@ -412,30 +434,35 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 step, errors = _newton_step(factors, direction, angles, np.array(slopes))
                 capped = (step > NEWTON_STEP_CAP).tolist()
                 steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
-            path = _geodesic(frame, m, direction)
+            path, origin = _geodesic(frame, m, direction), frame
+            frame, angles, new_cost, new_grad, cut, factors = _move(path, np.array(steps), bases)
+            held = (frame, angles, new_cost, new_grad, cut, *factors)
             for k in range(size) if backtrack else ():
 
                 def line_value(a):
-                    trial, _, cut, _ = _principal_angles(path(a)[k], bases[k], False)
-                    return np.inf if cut >= 0 else float(_cost(trial))
+                    # row k holds the evaluation at steps[k]; a shrunk trial
+                    # replaces it, so the accepted step's is the next iterate
+                    if a != steps[k]:
+                        steps[k], shrinks[k] = a, shrinks[k] + 1
+                        *row, row_factors = _move(path, a, bases, k)
+                        for part, value in zip(held, (*row, *row_factors)):
+                            part[k] = value
+                    return np.inf if cut[k] >= 0 else float(new_cost[k])
 
                 while not noise_floor[k]:
                     try:
                         steps[k] = backtracking_step(line_value, cost[k], slopes[k], first_step)
                         break
                     except LineSearchFailedError as err:
-                        if forced[k]:  # a failed problem does not move
+                        if forced[k]:  # a failed problem stops, with step 0
                             errors[k], steps[k] = err, 0.0
                             break
                         # a stale conjugate direction can degenerate to numerical
                         # noise; retry from steepest descent before giving up
                         direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
-                        path = _geodesic(frame, m, direction)
-            # the flow is unitary up to rounding; one Bjorck-Bowie polar step
-            # F(3I - F^H F)/2 restores it, and the nearest unitary keeps carried blocks valid
-            moved = path(np.array(steps), full=True)
-            frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
-        angles, new_cost, new_grad, cut, factors = _evaluate(bases, frame)
+                        path, steps[k] = _geodesic(origin, m, direction), None
+        else:
+            angles, new_cost, new_grad, cut, factors = _evaluate(bases, frame)
         new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
         periodic = iteration > 0 and iteration % period == 0
         if iteration == 0 or periodic:
@@ -452,7 +479,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
             sd = periodic or bool(fallback[k])
             traces[ids[k]].iterates.append(CGIterate(
                 iteration, new_cost[k], new_gnorm[k], steps[k], "sd" if sd else rule,
-                sd or forced[k], capped[k]))
+                sd or forced[k], capped[k], shrinks[k], noise_floor[k]))
         grad, cost, gnorm, direction = new_grad, new_cost, new_gnorm, new_direction
         if callback is not None and not all(errors):
             rows = {ids[k]: view(k) for k, err in enumerate(errors) if err is None}

@@ -103,7 +103,12 @@ def test_karcher_mean_cut_locus_exit_code(tmp_path, capsys):
     out = tmp_path / "mean.json"
     code = main(["karcher-mean", str(path), "--out", str(out)])
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # the message names the datum at the cut locus, under either step rule
+    assert "datum 1 " in err
+    assert main(["karcher-mean", str(path), "--out", str(out), "--step", "newton"]) == 3
+    assert "datum 1 " in capsys.readouterr().err
     # the partial trace is preserved for post-mortem
     assert (tmp_path / "mean.trace.csv").exists()
     assert not out.exists()

@@ -17,6 +17,7 @@ from grassmean.grassmann import (
     GrassmannPoint,
     StiefelBasis,
     TangentVector,
+    _geodesic,
     basis_from_projector,
     commutator,
     complete_frame,
@@ -139,9 +140,10 @@ def test_projector_data_are_not_validated_again(monkeypatch):
 @pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp"), (2, "newton_cp")])
 def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     # each iterate takes its angles, cost, residual and overlaps from one
-    # kernel call on its frame; calls without logs serve line-search trials
-    # only, and the Newton rule reads the factored overlaps of the iterate's
-    # own call
+    # kernel call on its frame, and no call goes without logs; a line search
+    # reads its first trial from the iterate's own call and calls the kernel
+    # again only for a shrunk trial, and the Newton rule reads the factored
+    # overlaps of the iterate's own call
     calls = {"frame": 0, "basis": 0}
     kernel = karcher._principal_angles
     returned, passed = [], []
@@ -158,13 +160,16 @@ def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
         passed.append(factors is returned[-1])
         return newton_step(factors, *args)
 
-    trials = []
+    searches = []
     search = karcher.backtracking_step
 
     def counted_search(objective, *args):
         def tried(step):
-            trials.append(step)
-            return objective(step)
+            before = calls["frame"]
+            value = objective(step)
+            searches[-1].append((step, calls["frame"] - before, value))
+            return value
+        searches.append([])
         return search(tried, *args)
 
     monkeypatch.setattr(karcher, "_principal_angles", counted)
@@ -173,10 +178,60 @@ def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     _, points = random_cloud(5, m, 10, 0.5, np.random.default_rng(33))
     _, trace = karcher_mean(KarcherProblem(points), config=CGConfig(step_rule=step_rule))
     assert trace.converged and trace.iterations >= 3
-    assert calls["frame"] == trace.iterations + 1
-    assert calls["basis"] == len(trials)
-    assert (len(trials) > 0) == (step_rule == "backtracking")
+    assert calls["basis"] == 0
+    assert calls["frame"] == trace.iterations + 1 + sum(item.shrinks for item in trace.iterates)
+    searched = [item for item in trace.iterates[1:] if not item.noise_floor]
+    assert len(searches) == (len(searched) if step_rule == "backtracking" else 0)
+    for item, trials in zip(searched, searches):
+        (step, kernel_calls, value), *shrunk = trials
+        assert (step, kernel_calls) == (1.0 / 10, 0) and len(shrunk) == item.shrinks
+        assert value == item.cost or shrunk
     assert passed == ([True] * trace.iterations if step_rule == "newton_cp" else [])
+
+
+def test_a_shrunk_trial_hands_its_evaluation_to_the_iterate(monkeypatch):
+    # a search that rejects its first trial, the iterate's own evaluation, and
+    # runs on from step/2: each iterate is the evaluation of the shrunk trial
+    # that its search accepted, and a batch in which only problem 1 shrinks
+    # solves each problem as it solves alone
+    search = karcher.backtracking_step
+
+    def shrinking(objective, value0, slope, step):
+        objective(step)
+        return search(objective, value0, slope, step * karcher.SHRINK)
+
+    monkeypatch.setattr(karcher, "backtracking_step", shrinking)
+    _, problem = ball_problem(5, 2, 10, 0.5, seed=38)
+    seen = []
+    _, trace = karcher_mean(problem, callback=lambda it, point, grad, _: seen.append((point, grad)))
+    assert trace.converged and len(seen) == len(trace.iterates)
+    for item, (point, grad) in zip(trace.iterates, seen):
+        assert abs(item.cost - karcher_cost(problem, point)) <= 1e-12
+        # the callback's residual field is N/2 times karcher_gradient
+        want = karcher_gradient(problem, point).matrix
+        assert np.linalg.norm(grad.matrix * (2.0 / 10) - want) <= 1e-12
+    searched = [item for item in trace.iterates[1:] if not item.noise_floor]
+    assert searched and all(item.shrinks >= 1 for item in searched)
+    assert all(item.step_size == 0.1 * karcher.SHRINK ** item.shrinks for item in searched)
+
+    def wide_shrinks(objective, value0, slope, step):
+        if value0 > 0.2:  # the tight clouds start near cost 0.02, the wide one at 0.5
+            return shrinking(objective, value0, slope, step)
+        return search(objective, value0, slope, step)
+
+    monkeypatch.setattr(karcher, "backtracking_step", wide_shrinks)
+    rng = np.random.default_rng(42)
+    frame = random_unitary(4, rng)
+    stack = np.stack([[b.matrix for b in basis_cloud(4, 2, 6, radius, rng, frame)]
+                      for radius in (0.3, 1.2, 0.3)])
+    points, traces = karcher_mean(KarcherProblem(_stack=stack))
+    assert [sum(item.shrinks for item in t.iterates) > 0 for t in traces] == [False, True, False]
+    for b, (point, trace) in enumerate(zip(points, traces)):
+        ref_point, ref_trace = karcher_mean(KarcherProblem(_stack=stack[b]))
+        _assert_same_trace(trace, ref_trace)
+        assert [item.shrinks for item in trace.iterates] == [
+            item.shrinks for item in ref_trace.iterates]
+        assert np.linalg.norm(point.matrix - ref_point.matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp")])
@@ -249,6 +304,41 @@ def test_default_config_terminates_converged(data):
     assert trace.converged
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_wide_range_solves_converge_or_stop_typed(data):
+    # clouds of N log-uniform in [1, 2000] data at geodesic distances
+    # 0.2..1 x radius (log-uniform in [1e-10, 1.5]) from the first m columns
+    # of one frame, built as one stack along _geodesic: every solve converges
+    # or stops with a typed status and its trace, and every iterate's
+    # recorded cost is karcher_cost at the callback's point
+    n = data.draw(st.integers(2, 8), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    # log-uniform on grids of 200 steps
+    count = round(2000.0 ** (data.draw(st.integers(0, 200), label="log N step") / 200))
+    radius = 1e-10 * 1.5e10 ** (data.draw(st.integers(0, 200), label="log radius step") / 200)
+    step_rule = data.draw(st.sampled_from(STEP_RULES), label="step_rule")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    blocks = rng.standard_normal((count, m, n - m)) + 1j * rng.standard_normal((count, m, n - m))
+    # the projector metric is sqrt(2) times the norm of the principal angles
+    blocks *= (rng.uniform(0.2, 1.0, count) * radius / np.sqrt(2.0)
+               / np.linalg.norm(blocks, axis=(1, 2)))[:, None, None]
+    frames = np.broadcast_to(random_unitary(n, rng), (count, n, n))
+    problem = KarcherProblem(_stack=_geodesic(frames, m, blocks)(1.0))
+    seen = []
+    try:
+        _, trace = karcher_mean(problem, config=CGConfig(step_rule=step_rule),
+                                callback=lambda it, point, *_: seen.append(point))
+        assert trace.status in ("converged", "max_iter")
+    except GrassmeanError as err:
+        assert err.status is not None and err.trace is not None, repr(err)
+        trace = err.trace
+        assert trace.status == err.status
+    assert len(seen) == len(trace.iterates)
+    for item, point in zip(trace.iterates, seen):
+        assert abs(item.cost - karcher_cost(problem, point)) <= 1e-12
+
+
 def test_noise_floor_phase_takes_model_steps():
     # this cloud's residual reaches the rounding floor of the cost just above
     # grad_tol; Armijo comparisons there pass by chance at steps too small to
@@ -264,9 +354,12 @@ def test_noise_floor_phase_takes_model_steps():
     # the guard compares the decrease predicted at the first trial step 1/N,
     # 2 gnorm^2 / N^2, with the rounding noise of the cost
     floor = NOISE_SLOPE_FACTOR * np.finfo(float).eps
-    below = [after.step_size for before, after in zip(trace.iterates, trace.iterates[1:])
+    below = [after for before, after in zip(trace.iterates, trace.iterates[1:])
              if 2.0 * before.grad_norm ** 2 / 30 ** 2 <= floor * max(1.0, before.cost)]
-    assert below and all(step == 1.0 / 30 for step in below)
+    assert below and all(item.step_size == 1.0 / 30 for item in below)
+    # the trace flags exactly these model steps, and they take no shrink
+    assert all(item.noise_floor and item.shrinks == 0 for item in below)
+    assert sum(item.noise_floor for item in trace.iterates) == len(below)
 
 
 def test_config_validation():

@@ -7,7 +7,7 @@ e^{t[H,P]} (.) e^{-t[H,P]}, computed as in the Karcher solver: in a unitary
 frame [X1 X2] of P, H is its block X1^H H X2 and the flow moves the frame in
 closed form (Edelman, Arias & Smith 1998). The logarithm and geodesic distance
 come from principal angles between the two subspaces, which one batched
-kernel computes from orthonormal bases.
+kernel computes from a unitary frame of the first and a basis of the second.
 """
 
 from __future__ import annotations
@@ -282,20 +282,18 @@ def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
     With D = U S V^H, X1(t) = X1 + X1 U (cos tS - I) U^H + X2 V sin(tS) U^H
     and X2(t) = X2 - X1 U sin(tS) V^H + X2 V (cos tS - I) V^H; the moved
     frame is e^{t[H,P]} [X1 X2] for the tangent H with block D. Returns a
-    function of t giving X1(t), or the whole frame when ``full`` is set.
-    Leading axes are a batch, and t is a scalar or one value per batch entry.
+    function of t giving the whole moved frame [X1(t) X2(t)]. Leading axes
+    are a batch, and t is a scalar or one value per batch entry.
     """
     x1, x2 = frame[..., :m], frame[..., m:]
     u, sigma, vh = np.linalg.svd(block, full_matrices=False)
     x1u, x2v, uh = x1 @ u, x2 @ vh.conj().swapaxes(-1, -2), u.conj().swapaxes(-1, -2)
 
-    def at(t, full: bool = False) -> np.ndarray:
+    def at(t) -> np.ndarray:
         angle = np.asarray(t)[..., np.newaxis] * sigma
         bend, sine = (np.cos(angle) - 1.0)[..., np.newaxis, :], np.sin(angle)[..., np.newaxis, :]
-        head = x1 + (x1u * bend + x2v * sine) @ uh
-        if not full:
-            return head
-        return np.concatenate([head, x2 + (x2v * bend - x1u * sine) @ vh], axis=-1)
+        return np.concatenate([x1 + (x1u * bend + x2v * sine) @ uh,
+                               x2 + (x2v * bend - x1u * sine) @ vh], axis=-1)
 
     return at
 
@@ -308,7 +306,7 @@ def _moved_frame(point: GrassmannPoint, velocity: TangentVector, t: float):
     m = point.rank
     frame = _frame(point.matrix, m)
     path = _geodesic(frame, m, _tangent_block(frame, m, velocity.matrix))
-    return frame, path(float(t), full=True)
+    return frame, path(float(t))
 
 
 def geodesic(point: GrassmannPoint, velocity: TangentVector, t: float) -> GrassmannPoint:
@@ -336,55 +334,49 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     return TangentVector(_point(moved, m), _tangent_matrix(moved, m, block))
 
 
-def _overlap_svd(square: np.ndarray, vectors: bool):
+def _overlap_svd(square: np.ndarray):
     """SVD L C R^H of each m-by-m overlap in a stack, singular values descending.
 
-    Returns C alone, or (L, C, R^H) when ``vectors`` is set. A 1x1 overlap is
-    factored in closed form, as its modulus and phase: LAPACK's fixed cost per
-    matrix would dominate a stack of scalars.
+    Returns (L, C, R^H). A 1x1 overlap is factored in closed form, as its
+    phase and modulus: LAPACK's fixed cost per matrix would dominate a stack
+    of scalars.
     """
     if square.shape[-1] > 1:
-        return np.linalg.svd(square, compute_uv=vectors)
+        return np.linalg.svd(square)
     cos = np.abs(square[..., 0])
-    if not vectors:
-        return cos
     return square * (1.0 / np.maximum(cos, _TINY))[..., np.newaxis], cos, np.ones_like(square)
 
 
-def _principal_angles(cols: np.ndarray, ys: np.ndarray, logs: bool):
+def _principal_angles(frame: np.ndarray, ys: np.ndarray):
     """Principal angles between span(X) and each span(ys[i]), with overlaps and logs.
 
-    ``ys`` is an (N, n, m) stack of orthonormal bases and ``cols`` the caller's
-    array as it is: a basis X, or a unitary frame [X X2], which ``logs`` needs.
-    Leading axes of both are a batch of problems. One GEMM forms the overlaps
-    Y_i^H cols, and one batched SVD factors their first m columns, Y_i^H X, as
-    L C R^H. Returns the angles arccos(C), (N, m), ascending per datum; with
-    ``logs`` (else None) the sum over i of R diag(theta / sin theta) L^H Y_i^H X2,
-    the top-right block of sum_i log_X(span Y_i) in the frame [X X2] (Edelman,
-    Arias & Smith 1998); per problem, the worst datum whose smallest squared
-    cosine is at most CUT_LOCUS_TOL, or -1; and, likewise, (Y_i^H cols, L, C, R^H).
+    ``ys`` is an (N, n, m) stack of orthonormal bases and ``frame`` a unitary
+    frame [X X2]; leading axes of both are a batch of problems. Every caller
+    (cost, distance, log and the solver) goes through this one factorization:
+    one GEMM forms the overlaps Y_i^H [X X2], and one batched SVD factors
+    their first m columns, Y_i^H X, as L C R^H. Returns the angles
+    arccos(C), (N, m), ascending per datum; the sum over i of
+    R diag(theta / sin theta) L^H Y_i^H X2, the top-right block of
+    sum_i log_X(span Y_i) in the frame [X X2] (Edelman, Arias & Smith 1998);
+    per problem, the worst datum whose smallest squared cosine is at most
+    CUT_LOCUS_TOL, or -1; and the factored overlaps (Y_i^H [X X2], L, C, R^H).
     """
     *batch, count, n, m = ys.shape
-    over = (ys.conj().swapaxes(-1, -2).reshape(*batch, count * m, n) @ cols).reshape(
-        *batch, count, m, -1)
-    if logs:
-        left, cos, right_h = _overlap_svd(over[..., :m], True)
-    else:
-        cos = _overlap_svd(over[..., :m], False)
+    over = (ys.conj().swapaxes(-1, -2).reshape(*batch, count * m, n) @ frame).reshape(
+        *batch, count, m, n)
+    left, cos, right_h = _overlap_svd(over[..., :m])
     cos = np.minimum(cos, 1.0)
     low = cos[..., -1] ** 2
     cut = np.full(low.shape[:-1], -1)
     if low.min() <= CUT_LOCUS_TOL:  # rare: the per-problem index is built only then
         cut = np.where(low.min(-1) <= CUT_LOCUS_TOL, low.argmin(-1), -1)
     angles = np.arccos(cos)
-    if not logs:
-        return angles, None, cut, None
     floored = np.maximum(angles, _TINY)  # theta / sin(theta) -> 1 at theta = 0
     right = right_h.conj().swapaxes(-1, -2) * (floored / np.sin(floored))[..., np.newaxis, :]
     coef = right @ left.conj().swapaxes(-1, -2)  # (N, m, m)
     # sum_i coef_i (Y_i^H X2) as one GEMM over the stacked (datum, column) index
     stacked = coef.swapaxes(-3, -2).reshape(*batch, m, count * m)
-    return (angles, stacked @ over[..., m:].reshape(*batch, count * m, -1), cut,
+    return (angles, stacked @ over[..., m:].reshape(*batch, count * m, n - m), cut,
             (over, left, cos, right_h))
 
 
@@ -392,8 +384,8 @@ def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
     m = point.rank
-    x, y = _frame(np.array([point.matrix, other.matrix]), m)[..., :m]
-    return _principal_angles(x, y[np.newaxis], False)[0][0]
+    frame, other = _frame(np.array([point.matrix, other.matrix]), m)
+    return _principal_angles(frame, other[np.newaxis, :, :m])[0][0]
 
 
 def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
@@ -411,7 +403,7 @@ def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     _require_same_space(point, target)
     m = point.rank
     frame, other = _frame(np.array([point.matrix, target.matrix]), m)
-    _, block, cut, _ = _principal_angles(frame, other[np.newaxis, :, :m], True)
+    _, block, cut, _ = _principal_angles(frame, other[np.newaxis, :, :m])
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     return TangentVector(point, _tangent_matrix(frame, m, block))

@@ -40,7 +40,6 @@ from .grassmann import (
     _tangent_matrix,
     _trusted,
     complete_frame,
-    projector_from_basis,
     require_anchored,
 )
 
@@ -181,11 +180,10 @@ def _cost(angles: np.ndarray) -> np.ndarray:
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
     """Mean squared geodesic distance from ``point`` to the problem data; CutLocusError
     (with the datum index) if ``point`` is at the cut locus of a datum."""
-    angles, _, cut, _ = _principal_angles(_frame_of(problem, point)[:, :point.rank],
-                                          problem.bases, False)
+    _, cost, _, cut, _ = _evaluate(problem.bases, _frame_of(problem, point))
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return float(_cost(angles))
+    return float(cost)
 
 
 def _evaluate(bases: np.ndarray, frame: np.ndarray):
@@ -196,21 +194,19 @@ def _evaluate(bases: np.ndarray, frame: np.ndarray):
     Karcher fixed-point step (a move by the mean log) and step 1 is exact for
     one datum.
     """
-    angles, block, cut, factors = _principal_angles(frame, bases, True)
+    angles, block, cut, factors = _principal_angles(frame, bases)
     return angles, _cost(angles), -block, cut, factors
 
 
-def _move(path, steps, bases: np.ndarray, k: int = None) -> tuple:
-    """The frames at ``steps`` along ``path``, with their ``_evaluate``.
+def _move(path, steps, bases: np.ndarray) -> tuple:
+    """The frames at ``steps`` along ``path``, one per problem, with their ``_evaluate``.
 
-    Returns (frame, angles, cost, residual, cut, factors) over the batch, or
-    for row ``k`` alone. The flow is unitary up to rounding; one Bjorck-Bowie
-    polar step F(3I - F^H F)/2 restores it, and the nearest unitary keeps
-    carried blocks valid.
+    Returns (frame, angles, cost, residual, cut, factors) over the batch. The
+    flow is unitary up to rounding; one Bjorck-Bowie polar step
+    F(3I - F^H F)/2 restores it, and the nearest unitary keeps carried blocks
+    valid.
     """
-    moved = path(steps, full=True)
-    if k is not None:
-        moved, bases = moved[k], bases[k]
+    moved = path(steps)
     frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
     return frame, *_evaluate(bases, frame)
 
@@ -243,15 +239,17 @@ def backtracking_step(objective, value0: float, slope: float, step: float) -> fl
 
 
 def _at_noise_floor(decrease: float, value0: float) -> bool:
-    """Whether Armijo comparisons along steepest descent are rounding noise.
+    """Whether Armijo comparisons along a search direction are rounding noise.
 
-    ``decrease``, the cost decrease predicted at the first trial step 1/N, is
-    2 gnorm^2 / N^2 for a residual of norm gnorm. Near the minimizer it drops
-    below the rounding noise of ``value0`` long before the residual loses
-    accuracy. A comparison there passes or fails by chance, and a chance pass
-    at a step too small to move the iterate freezes the solver. The curvature
-    along the residual field approaches N there, so the solver takes the
-    model-exact step 1/N without a cost comparison.
+    ``decrease`` is the cost decrease predicted at the first trial step 1/N
+    along the direction searched: -slope / N, or 2 gnorm^2 / N^2 along a
+    residual of norm gnorm. Near the minimizer it drops below the rounding
+    noise of ``value0`` long before the residual loses accuracy. A comparison
+    there passes or fails by chance, and a chance pass at a step too small to
+    move the iterate freezes the solver. So a conjugate direction at the floor
+    restarts from steepest descent, and along steepest descent at the floor,
+    where the curvature along the residual field approaches N, the solver
+    takes the model-exact step 1/N without a cost comparison.
     """
     return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
@@ -366,7 +364,7 @@ def _anchor_frame(problem: KarcherProblem) -> np.ndarray:
 
 def default_init(problem: KarcherProblem) -> GrassmannPoint:
     """Euclidean anchor: the span of the first m columns of ``_anchor_frame``."""
-    return projector_from_basis(_anchor_frame(problem)[:, :problem.rank])
+    return _point(_anchor_frame(problem), problem.rank)
 
 
 def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
@@ -388,7 +386,8 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     step 1/N on that field (Afsari, Tron & Vidal 2013) and tests the mean cost.
     Every running problem moves by its first trial step, and one evaluation of
     the batch is both the Armijo test and the next iterate; only a shrunk trial
-    evaluates its own problem again (the trace's ``shrinks``).
+    moves and evaluates the batch again (the trace's ``shrinks``). A direction
+    whose Armijo test would be rounding noise restarts from steepest descent.
 
     A batch (bases (B, N, n, m)) runs through the same loop, each problem with
     its own state and trace until it stops; one problem is a batch of one. A
@@ -428,7 +427,10 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
             noise_floor = [backtrack and _at_noise_floor(-first_step * s, c)
                            for s, c in zip(steepest, cost)]
             for k in range(size):
-                if noise_floor[k] or not slopes[k] < 0.0:
+                # a direction whose Armijo test would be rounding noise, or no
+                # descent at all, restarts from steepest descent
+                if noise_floor[k] or not slopes[k] < 0.0 or (
+                        backtrack and _at_noise_floor(-first_step * slopes[k], cost[k])):
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
             if not backtrack:
                 step, errors = _newton_step(factors, direction, angles, np.array(slopes))
@@ -436,17 +438,17 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
             path, origin = _geodesic(frame, m, direction), frame
             frame, angles, new_cost, new_grad, cut, factors = _move(path, np.array(steps), bases)
-            held = (frame, angles, new_cost, new_grad, cut, *factors)
             for k in range(size) if backtrack else ():
 
                 def line_value(a):
-                    # row k holds the evaluation at steps[k]; a shrunk trial
-                    # replaces it, so the accepted step's is the next iterate
+                    # the batch holds the evaluation at ``steps``; a shrunk
+                    # trial sets steps[k] and moves the batch again, so the
+                    # accepted step's evaluation is the next iterate
+                    nonlocal frame, angles, new_cost, new_grad, cut, factors
                     if a != steps[k]:
                         steps[k], shrinks[k] = a, shrinks[k] + 1
-                        *row, row_factors = _move(path, a, bases, k)
-                        for part, value in zip(held, (*row, *row_factors)):
-                            part[k] = value
+                        frame, angles, new_cost, new_grad, cut, factors = _move(
+                            path, np.array(steps), bases)
                     return np.inf if cut[k] >= 0 else float(new_cost[k])
 
                 while not noise_floor[k]:

@@ -140,17 +140,16 @@ def test_projector_data_are_not_validated_again(monkeypatch):
 @pytest.mark.parametrize("m, step_rule", [(2, "backtracking"), (1, "newton_cp"), (2, "newton_cp")])
 def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     # each iterate takes its angles, cost, residual and overlaps from one
-    # kernel call on its frame, and no call goes without logs; a line search
-    # reads its first trial from the iterate's own call and calls the kernel
-    # again only for a shrunk trial, and the Newton rule reads the factored
-    # overlaps of the iterate's own call
-    calls = {"frame": 0, "basis": 0}
+    # kernel call on its frame; a line search reads its first trial from the
+    # iterate's own call and calls the kernel again only for a shrunk trial,
+    # and the Newton rule reads the factored overlaps of the iterate's own call
+    calls = {"frame": 0}
     kernel = karcher._principal_angles
     returned, passed = [], []
 
-    def counted(cols, ys, logs):
-        calls["frame" if logs else "basis"] += 1
-        result = kernel(cols, ys, logs)
+    def counted(frame, ys):
+        calls["frame"] += 1
+        result = kernel(frame, ys)
         returned.append(result[3])
         return result
 
@@ -178,7 +177,6 @@ def test_one_kernel_call_per_iterate(monkeypatch, m, step_rule):
     _, points = random_cloud(5, m, 10, 0.5, np.random.default_rng(33))
     _, trace = karcher_mean(KarcherProblem(points), config=CGConfig(step_rule=step_rule))
     assert trace.converged and trace.iterations >= 3
-    assert calls["basis"] == 0
     assert calls["frame"] == trace.iterations + 1 + sum(item.shrinks for item in trace.iterates)
     searched = [item for item in trace.iterates[1:] if not item.noise_floor]
     assert len(searches) == (len(searched) if step_rule == "backtracking" else 0)
@@ -304,19 +302,17 @@ def test_default_config_terminates_converged(data):
     assert trace.converged
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.data())
-def test_wide_range_solves_converge_or_stop_typed(data):
+def _solve_cloud_or_stop_typed(data, draw_radius):
     # clouds of N log-uniform in [1, 2000] data at geodesic distances
-    # 0.2..1 x radius (log-uniform in [1e-10, 1.5]) from the first m columns
-    # of one frame, built as one stack along _geodesic: every solve converges
-    # or stops with a typed status and its trace, and every iterate's
-    # recorded cost is karcher_cost at the callback's point
+    # 0.2..1 x radius from the first m columns of one frame, built as one
+    # stack along _geodesic: every solve converges or stops with a typed
+    # status and its trace, and every iterate's recorded cost is
+    # karcher_cost at the callback's point
     n = data.draw(st.integers(2, 8), label="n")
     m = data.draw(st.integers(1, n - 1), label="m")
-    # log-uniform on grids of 200 steps
+    # log-uniform on a grid of 200 steps
     count = round(2000.0 ** (data.draw(st.integers(0, 200), label="log N step") / 200))
-    radius = 1e-10 * 1.5e10 ** (data.draw(st.integers(0, 200), label="log radius step") / 200)
+    radius = draw_radius(data)
     step_rule = data.draw(st.sampled_from(STEP_RULES), label="step_rule")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     blocks = rng.standard_normal((count, m, n - m)) + 1j * rng.standard_normal((count, m, n - m))
@@ -324,7 +320,9 @@ def test_wide_range_solves_converge_or_stop_typed(data):
     blocks *= (rng.uniform(0.2, 1.0, count) * radius / np.sqrt(2.0)
                / np.linalg.norm(blocks, axis=(1, 2)))[:, None, None]
     frames = np.broadcast_to(random_unitary(n, rng), (count, n, n))
-    problem = KarcherProblem(_stack=_geodesic(frames, m, blocks)(1.0))
+    # the geodesic moves whole frames; their first m columns are the data
+    problem = KarcherProblem(_stack=_geodesic(frames, m, blocks)(1.0)[..., :m])
+    assert problem.rank == m
     seen = []
     try:
         _, trace = karcher_mean(problem, config=CGConfig(step_rule=step_rule),
@@ -337,6 +335,44 @@ def test_wide_range_solves_converge_or_stop_typed(data):
     assert len(seen) == len(trace.iterates)
     for item, point in zip(trace.iterates, seen):
         assert abs(item.cost - karcher_cost(problem, point)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_wide_range_solves_converge_or_stop_typed(data):
+    # radius log-uniform in [1e-10, 1.5], on a grid of 200 steps
+    _solve_cloud_or_stop_typed(data, lambda data: 1e-10 * 1.5e10 ** (
+        data.draw(st.integers(0, 200), label="log radius step") / 200))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_near_cut_solves_converge_or_stop_typed(data):
+    # radius uniform in [1.0, 2.2], just below the cut at sqrt(2) pi / 2,
+    # where conjugate directions reach the rounding floor of the cost
+    _solve_cloud_or_stop_typed(data, lambda data: data.draw(st.floats(1.0, 2.2), label="radius"))
+
+
+def test_no_search_starts_at_the_noise_floor(monkeypatch):
+    # on these wide clouds the conjugate direction's slope falls so low that
+    # the Armijo margin at the first trial step is below the rounding noise
+    # of the cost, while the steepest-descent one is not; such a direction
+    # restarts from steepest descent, so no search compares costs there
+    search = karcher.backtracking_step
+    started = []
+
+    def recorded(objective, value0, slope, step):
+        started.append((value0, slope, step))
+        return search(objective, value0, slope, step)
+
+    monkeypatch.setattr(karcher, "backtracking_step", recorded)
+    for seed in range(3):
+        points = basis_cloud(4, 2, 10, 2.15, np.random.default_rng([4, 2, 10, seed]))
+        _, trace = karcher_mean(KarcherProblem(points))
+        assert trace.converged
+    assert started
+    assert not any(karcher._at_noise_floor(-step * slope, value0)
+                   for value0, slope, step in started)
 
 
 def test_noise_floor_phase_takes_model_steps():

@@ -16,6 +16,7 @@ true mixing matrix.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
@@ -118,16 +119,46 @@ def generate_sources(n: int, num_samples: int, rng) -> np.ndarray:
     Source k mixes independent real Gaussian streams as
     cos(theta_k) x + 1j sin(theta_k) y with theta_k = k pi / (4 (n+1)),
     k = 1..n, so the circularity coefficients |cos 2 theta_k| are distinct.
+    ``rng`` must be a numpy Generator whose seed sequence can spawn: x and y
+    come from the two child streams of ``rng.spawn(2)``, and ``rng``'s own
+    stream is not drawn from. y is drawn on this process's one draw thread
+    while the caller draws x, so the two fills run on two cores; each stream
+    fills its own half of one (2, n, num_samples) array, and the result does
+    not depend on the threads' timing.
     """
+    if not (isinstance(rng, np.random.Generator) and isinstance(
+            rng.bit_generator.seed_seq, np.random.bit_generator.ISpawnableSeedSequence)):
+        raise InvalidInputError("rng must be a numpy Generator with a spawnable seed sequence")
     if num_samples < MIN_SAMPLES_PER_SOURCE * n:
         raise InvalidInputError(f"need at least {MIN_SAMPLES_PER_SOURCE * n} samples")
     theta = (np.arange(1, n + 1) / (n + 1)) * (np.pi / 4)
-    x = rng.standard_normal((n, num_samples))
-    y = rng.standard_normal((n, num_samples))
+    x_rng, y_rng = rng.spawn(2)
+    x, y = np.empty((2, n, num_samples))
+    y_drawn = _draw_thread().submit(y_rng.standard_normal, out=y)
+    x_rng.standard_normal(out=x)
     sources = np.empty((n, num_samples), dtype=complex)
     np.multiply(np.cos(theta)[:, None], x, out=sources.real)
+    y_drawn.result()
     np.multiply(np.sin(theta)[:, None], y, out=sources.imag)
     return sources
+
+
+_draw_pool = (None, None)  # (pid that started it, executor)
+
+
+def _draw_thread():
+    """This process's one draw thread, started on first use and again in a
+    forked child, whose copy of the parent's thread is not running.
+
+    Two threads that start it at once may each start one; either serves.
+    """
+    global _draw_pool
+    pid = os.getpid()
+    if _draw_pool[0] != pid:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _draw_pool = (pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="grassmean-draw"))
+    return _draw_pool[1]
 
 
 def mix(mixing: np.ndarray, perturbation: np.ndarray, noise_level: float,

@@ -1,3 +1,9 @@
+import os
+import signal
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,11 +93,76 @@ def test_generate_sources_moments():
 def test_generate_sources_is_the_documented_mix():
     n, num = 4, 300
     theta = (np.arange(1, n + 1) / (n + 1)) * (np.pi / 4)
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal((n, num))
-    y = rng.standard_normal((n, num))
+    # x and y replay the two child streams of rng.spawn(2)
+    x_rng, y_rng = np.random.default_rng(14).spawn(2)
+    x = x_rng.standard_normal((n, num))
+    y = y_rng.standard_normal((n, num))
     expected = np.cos(theta)[:, None] * x + 1j * np.sin(theta)[:, None] * y
     np.testing.assert_array_equal(generate_sources(n, num, np.random.default_rng(14)),
+                                  expected)
+
+
+class _UnspawnableSeed(np.random.bit_generator.ISeedSequence):
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.arange(1, n_words + 1, dtype=dtype)
+
+
+def test_generate_sources_rejects_rng_that_cannot_spawn(monkeypatch):
+    # rejected at the boundary, before any draw thread is asked for
+    monkeypatch.setattr(blindid, "_draw_thread", None)
+    for bad in (np.random.RandomState(0), 0, None,
+                np.random.Generator(np.random.PCG64(_UnspawnableSeed()))):
+        with pytest.raises(InvalidInputError, match="spawnable seed sequence"):
+            generate_sources(3, 300, bad)
+
+
+def test_generate_sources_is_deterministic_across_caller_threads(monkeypatch):
+    # more callers than cores, with frequent thread switches, all starting
+    # the draw thread at once: each gets the arrays of sequential calls
+    seeds = range(8)
+
+    def calls(seed):
+        rng = np.random.default_rng(seed)
+        return [generate_sources(5, 4000, rng) for _ in range(3)]
+
+    sequential = [calls(seed) for seed in seeds]
+    monkeypatch.setattr(blindid, "_draw_pool", (None, None))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            concurrent = list(callers.map(calls, seeds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for seq, conc in zip(sequential, concurrent):
+        for a, b in zip(seq, conc):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_generate_sources_in_a_forked_child():
+    # the parent's draw thread is running when it forks; the child starts
+    # its own, so its draws neither hang nor differ from the parent's
+    expected = generate_sources(3, 300, np.random.default_rng(23))
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            # 14.4 kB, within any pipe's buffer, so the write never blocks
+            os.write(write_end, generate_sources(3, 300, np.random.default_rng(23)).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    deadline = time.monotonic() + 30
+    while not os.waitpid(pid, os.WNOHANG)[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("generate_sources hung in a forked child")
+        time.sleep(0.01)
+    with os.fdopen(read_end, "rb") as pipe:
+        payload = pipe.read()
+    np.testing.assert_array_equal(np.frombuffer(payload, dtype=complex).reshape(expected.shape),
                                   expected)
 
 

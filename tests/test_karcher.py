@@ -310,8 +310,11 @@ def _solve_cloud_or_stop_typed(data, draw_radius):
     # karcher_cost at the callback's point
     n = data.draw(st.integers(2, 8), label="n")
     m = data.draw(st.integers(1, n - 1), label="m")
-    # log-uniform on a grid of 200 steps
-    count = round(2000.0 ** (data.draw(st.integers(0, 200), label="log N step") / 200))
+    # log-uniform on a grid of 200 steps, drawn as an offset from the middle
+    # step (N = 45): hypothesis draws an integer range's values nearest 0
+    # most often, and at N = 1 every solve stops at iteration 0
+    log_step = 100 + data.draw(st.integers(-100, 100), label="log N step")
+    count = round(2000.0 ** (log_step / 200))
     radius = draw_radius(data)
     step_rule = data.draw(st.sampled_from(STEP_RULES), label="step_rule")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))

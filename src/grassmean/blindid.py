@@ -16,6 +16,7 @@ true mixing matrix.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -124,8 +125,14 @@ def generate_sources(n: int, num_samples: int, rng) -> np.ndarray:
     stream is not drawn from. y is drawn on this process's one draw thread
     while the caller draws x, so the two fills run on two cores; each stream
     fills its own half of one (2, n, num_samples) array, and the result does
-    not depend on the threads' timing.
+    not depend on the threads' timing. Once interpreter shutdown has begun,
+    no thread can start, and the caller draws y itself.
     """
+    for name, value in (("n", n), ("num_samples", num_samples)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidInputError(f"{name} must be an integer")
+    if n < 1:
+        raise InvalidInputError("need at least one source")
     if not (isinstance(rng, np.random.Generator) and isinstance(
             rng.bit_generator.seed_seq, np.random.bit_generator.ISpawnableSeedSequence)):
         raise InvalidInputError("rng must be a numpy Generator with a spawnable seed sequence")
@@ -134,31 +141,31 @@ def generate_sources(n: int, num_samples: int, rng) -> np.ndarray:
     theta = (np.arange(1, n + 1) / (n + 1)) * (np.pi / 4)
     x_rng, y_rng = rng.spawn(2)
     x, y = np.empty((2, n, num_samples))
-    y_drawn = _draw_thread().submit(y_rng.standard_normal, out=y)
+    try:
+        y_drawn = _draw_thread(os.getpid()).submit(y_rng.standard_normal, out=y)
+    except RuntimeError:  # concurrent.futures refuses work once shutdown has begun
+        y_drawn = None
+        y_rng.standard_normal(out=y)
     x_rng.standard_normal(out=x)
     sources = np.empty((n, num_samples), dtype=complex)
     np.multiply(np.cos(theta)[:, None], x, out=sources.real)
-    y_drawn.result()
+    if y_drawn is not None:
+        y_drawn.result()
     np.multiply(np.sin(theta)[:, None], y, out=sources.imag)
     return sources
 
 
-_draw_pool = (None, None)  # (pid that started it, executor)
+@functools.lru_cache(maxsize=1)
+def _draw_thread(pid: int):
+    """The one draw thread of process ``pid``, started on first use.
 
-
-def _draw_thread():
-    """This process's one draw thread, started on first use and again in a
-    forked child, whose copy of the parent's thread is not running.
-
-    Two threads that start it at once may each start one; either serves.
+    A forked child asks with its own pid, which evicts the parent's executor,
+    whose thread is not running in the child. Two threads that ask at once
+    may each start one; either serves.
     """
-    global _draw_pool
-    pid = os.getpid()
-    if _draw_pool[0] != pid:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        _draw_pool = (pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="grassmean-draw"))
-    return _draw_pool[1]
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="grassmean-draw")
 
 
 def mix(mixing: np.ndarray, perturbation: np.ndarray, noise_level: float,
@@ -254,11 +261,11 @@ def sut_estimate(observations: np.ndarray) -> np.ndarray:
     n, count = obs.shape
     if count < MIN_SAMPLES_PER_SOURCE * n:
         raise InvalidInputError(f"need at least {MIN_SAMPLES_PER_SOURCE * n} samples")
-    return _sut(obs @ obs.conj().T / count, obs @ obs.T / count)
+    return _sut(*_source_moments(obs))
 
 
 def _source_moments(sources: np.ndarray):
-    """Covariance E[s s^H] and pseudo-covariance E[s s^T] of the rows of ``sources``.
+    """Covariance E[s s^H] and pseudo-covariance E[s s^T] of the rows of sources or observations.
 
     Both come from one real Gram matrix of the stacked real and imaginary
     parts, with blocks rr, ri and ii: E[s s^H] = rr + ii + i(ri^T - ri) and

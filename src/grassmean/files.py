@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grassmann import StiefelBasis, _stiefel_defects
+from .grassmann import StiefelBasis, _stiefel_defects, _trusted
 
 FORMAT_VERSION = "1"
 KEEP_RAW_TOL = 1e-10
@@ -86,8 +86,9 @@ def _polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
 def read_subspace_file(path, repair: bool = False) -> list:
     """Read a subspace file back into a list of StiefelBasis objects.
 
-    Bases with a defect in (KEEP_RAW_TOL, POLISH_TOL], or above it with ``repair``, get their
+    Bases with a defect in [KEEP_RAW_TOL, POLISH_TOL], or above it with ``repair``, get their
     polar factor. Errors go by kind (structure, non-finite, defect) and name the lowest basis.
+    The bases are read-only views of the one checked stack and are not checked again.
     """
     with open(path) as handle:
         try:
@@ -130,14 +131,15 @@ def read_subspace_file(path, repair: bool = False) -> list:
     if bad.size:
         raise SubspaceFileError(f"bases[{bad[0]}] contains non-finite entries")
     defects = _stiefel_defects(stack)
-    for b in np.flatnonzero(defects > KEEP_RAW_TOL):
+    for b in np.flatnonzero(defects >= KEEP_RAW_TOL):
         if defects[b] > POLISH_TOL and not repair:
             raise SubspaceFileError(f"bases[{b}] is not orthonormal (defect {defects[b]:.3g}); "
                                     "pass repair to re-orthonormalize")
         if np.linalg.matrix_rank(stack[b]) < m:
             raise SubspaceFileError(f"bases[{b}] is rank deficient; cannot repair")
         stack[b] = _polar_orthonormalize(stack[b])
-    return StiefelBasis._split(stack)
+    stack.setflags(write=False)
+    return [_trusted(StiefelBasis, matrix=mat) for mat in stack]
 
 
 def _cell(value) -> str:

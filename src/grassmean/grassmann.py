@@ -97,18 +97,6 @@ class StiefelBasis:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def _split(cls, stack: np.ndarray) -> list:
-        """One batched check of a finite (N, n, m) stack, then views of one read-only copy."""
-        defects = _stiefel_defects(stack)
-        bad = np.flatnonzero(defects >= STIEFEL_TOL)
-        if bad.size:
-            raise InvalidInputError(f"bases[{bad[0]}]: columns are not orthonormal "
-                                    f"(defect {defects[bad[0]]:.3e})")
-        stack = np.array(stack, dtype=complex)
-        stack.setflags(write=False)
-        return [_trusted(cls, matrix=mat) for mat in stack]
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -212,7 +200,7 @@ def _trusted(cls, **fields):
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
-        # views of a read-only stack, as ``_split`` makes, are read-only already
+        # views of a read-only stack, as the file reader hands out, are read-only already
         if isinstance(value, np.ndarray) and value.flags.writeable:
             value.flags.writeable = False
         object.__setattr__(obj, name, value)
@@ -230,8 +218,8 @@ def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
 
 
 def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
-    """Orthonormal basis of the projector's range (top eigenvectors)."""
-    return StiefelBasis(_frame(point.matrix, point.rank)[:, :point.rank])
+    """Orthonormal basis of the projector's range (top eigenvectors), not checked again."""
+    return _trusted(StiefelBasis, matrix=_frame(point.matrix, point.rank)[:, :point.rank])
 
 
 def complete_frame(basis) -> np.ndarray:

@@ -1,8 +1,10 @@
 import os
 import signal
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +128,7 @@ def test_generate_sources_is_deterministic_across_caller_threads(monkeypatch):
         return [generate_sources(5, 4000, rng) for _ in range(3)]
 
     sequential = [calls(seed) for seed in seeds]
-    monkeypatch.setattr(blindid, "_draw_pool", (None, None))
+    blindid._draw_thread.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -166,9 +168,36 @@ def test_generate_sources_in_a_forked_child():
                                   expected)
 
 
-def test_generate_sources_rejects_short_batch():
-    with pytest.raises(InvalidInputError):
-        generate_sources(5, 40, np.random.default_rng(0))
+@pytest.mark.parametrize("warm", [False, True])
+def test_generate_sources_after_interpreter_shutdown_began(warm):
+    # a non-daemon thread that draws after the main thread returns: no new
+    # thread or executor work is allowed then, so y is drawn inline, whether
+    # the draw thread never started (cold) or already ran (warm)
+    src = Path(blindid.__file__).resolve().parents[1]
+    script = (f"import sys, threading; sys.path.insert(0, {str(src)!r})\n"
+              "import numpy as np\n"
+              "from grassmean.blindid import generate_sources\n"
+              f"if {warm}: generate_sources(3, 300, np.random.default_rng(1))\n"
+              "def late():\n"
+              "    threading.main_thread().join()\n"
+              "    sys.stdout.buffer.write(\n"
+              "        generate_sources(3, 300, np.random.default_rng(0)).tobytes())\n"
+              "threading.Thread(target=late).start()\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+    assert done.returncode == 0 and not done.stderr, done.stderr.decode()
+    assert done.stdout == generate_sources(3, 300, np.random.default_rng(0)).tobytes()
+
+
+def test_generate_sources_rejects_short_batch(monkeypatch):
+    # bad sizes are rejected at the boundary, before any draw or draw thread
+    monkeypatch.setattr(blindid, "_draw_thread", None)
+    rng = np.random.default_rng(0)
+    for n, num in ((-1, 300), (0, 300), (2.5, 300), (True, 300), (np.float64(3.0), 300),
+                   (3, 300.0), (3, "300"), (3, None), (5, 40)):
+        with pytest.raises(InvalidInputError):
+            generate_sources(n, num, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    monkeypatch.undo()
     with pytest.raises(InvalidInputError, match="at least 50 samples"):
         sut_estimate(generate_sources(5, 50, np.random.default_rng(0))[:, :49])
 

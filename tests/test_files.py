@@ -1,19 +1,23 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassmean.blindid import TrialResult
 from grassmean.exceptions import InvalidInputError
 from grassmean.files import (
+    POLISH_TOL,
     SubspaceFileError,
     read_subspace_file,
     write_results_csv,
     write_subspace_file,
     write_trace_csv,
 )
-from grassmean.grassmann import StiefelBasis
+from grassmean.grassmann import StiefelBasis, _stiefel_defects
 from grassmean.karcher import CGIterate, CGTrace
 from conftest import random_point
 
@@ -37,6 +41,46 @@ def test_roundtrip_is_bit_exact(tmp_path):
     for orig, loaded in zip(bases, back):
         assert isinstance(loaded, StiefelBasis)
         np.testing.assert_array_equal(loaded.matrix, orig)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_reader_check_matches_the_per_basis_check(data):
+    # the reader's one batched check keeps a basis's bits exactly when
+    # StiefelBasis accepts it, polishes the others into bases StiefelBasis
+    # accepts, and names the lowest basis beyond polishing
+    n = data.draw(st.integers(1, 12), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    count = data.draw(st.integers(1, 50), label="count")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    stack = np.linalg.qr(rng.standard_normal((count, n, m))
+                         + 1j * rng.standard_normal((count, n, m)))[0]
+    faults = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.floats(-13.0, -7.0)),
+                                max_size=4), label="faults")
+    for b, exponent in faults:
+        stack[b, :, rng.integers(m)] *= 1.0 + 10.0 ** exponent
+    accepted = []
+    for mat in stack:
+        try:
+            StiefelBasis(mat)
+            accepted.append(True)
+        except InvalidInputError:
+            accepted.append(False)
+    beyond = [b for b in range(count) if _stiefel_defects(stack[b]) > POLISH_TOL]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bases.json"
+        write_subspace_file(path, stack)
+        if beyond:
+            with pytest.raises(SubspaceFileError,
+                               match=rf"^bases\[{beyond[0]}\] is not orthonormal"):
+                read_subspace_file(path)
+        bases = read_subspace_file(path, repair=bool(beyond))
+    assert len(bases) == count
+    for basis, mat, keep in zip(bases, stack, accepted):
+        assert isinstance(basis, StiefelBasis) and (basis.dim, basis.rank) == (n, m)
+        assert not basis.matrix.flags.writeable
+        assert (basis.matrix.tobytes() == mat.tobytes()) == keep
+        StiefelBasis(basis.matrix)
 
 
 def test_write_accepts_stiefel_objects(tmp_path):

@@ -54,39 +54,6 @@ def test_stiefel_basis_validation():
     assert basis.dim == 3 and basis.rank == 2
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(st.data())
-def test_split_matches_the_per_basis_check(data):
-    # one batched check over a stack accepts exactly when every basis passes
-    # StiefelBasis, names the lowest failing basis, and keeps the input bits
-    n = data.draw(st.integers(1, 12), label="n")
-    m = data.draw(st.integers(1, n), label="m")
-    count = data.draw(st.integers(1, 50), label="count")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    stack = np.linalg.qr(rng.standard_normal((count, n, m))
-                         + 1j * rng.standard_normal((count, n, m)))[0]
-    faults = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.floats(-13.0, -7.0)),
-                                max_size=4), label="faults")
-    for b, exponent in faults:
-        stack[b, :, rng.integers(m)] *= 1.0 + 10.0 ** exponent
-    failing = []
-    for b in range(count):
-        try:
-            StiefelBasis(stack[b])
-        except InvalidInputError:
-            failing.append(b)
-    if failing:
-        with pytest.raises(InvalidInputError, match=rf"^bases\[{failing[0]}\]: "):
-            StiefelBasis._split(stack)
-        return
-    bases = StiefelBasis._split(stack)
-    assert len(bases) == count
-    for basis, mat in zip(bases, stack):
-        assert isinstance(basis, StiefelBasis) and (basis.dim, basis.rank) == (n, m)
-        assert not basis.matrix.flags.writeable
-        assert basis.matrix.tobytes() == mat.tobytes()
-
-
 def test_projector_basis_roundtrip():
     rng = np.random.default_rng(10)
     for _ in range(20):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import grassmean.karcher as karcher
 from grassmean import linalg
+from grassmean.files import read_subspace_file, write_subspace_file
 from conftest import basis_cloud, random_cloud, random_point, random_tangent, random_unitary
 from grassmean.exceptions import (
     CutLocusError,
@@ -999,16 +1000,17 @@ def test_projector_data_take_one_batched_eigh():
         KarcherProblem((GrassmannPoint(np.diag([1.0, 0.0, 0.0])), broken))
 
 
-def test_the_readers_stack_is_copied_once_in_order():
-    # the bases of a stack the file reader split, in any order or mixed with
-    # rows of another stack, become one read-only stack of their own
+def test_the_readers_stack_is_copied_once_in_order(tmp_path):
+    # the bases of a stack the file reader hands out, in any order or mixed
+    # with rows of another read, become one read-only stack of their own
     stack = np.stack([b.matrix for b in basis_cloud(5, 2, 7, 0.4, np.random.default_rng(36))])
-    bases = StiefelBasis._split(stack)
+    write_subspace_file(tmp_path / "cloud.json", stack)
+    bases = read_subspace_file(tmp_path / "cloud.json")
     problem = KarcherProblem(bases)
     assert np.array_equal(problem.bases, stack) and not problem.bases.flags.writeable
     assert not np.shares_memory(problem.bases, bases[0].matrix)
     assert np.array_equal(KarcherProblem(bases[::-1]).bases, stack[::-1])
-    mixed = bases[:3] + StiefelBasis._split(stack)[3:]
+    mixed = bases[:3] + read_subspace_file(tmp_path / "cloud.json")[3:]
     assert np.array_equal(KarcherProblem(mixed).bases, stack)
 
 

@@ -31,7 +31,7 @@ from .exceptions import (
     IllConditionedError,
     InvalidInputError,
 )
-from .grassmann import STIEFEL_TOL, _frame, _stiefel_defects, _trusted
+from .grassmann import STIEFEL_TOL, _bases, _stiefel_defects, _trusted
 from .karcher import CGConfig, KarcherProblem, karcher_mean
 from . import linalg
 
@@ -397,7 +397,7 @@ def _run_trial(cfg: MixingExperiment, rng):
     mixing, estimates = _trial_estimates(cfg, rng)
     aligned = align_columns(EstimateSet(estimates))
     means = average_karcher(aligned)
-    karcher_est = _frame(np.array([p.matrix for p in means]), 1)[..., 0].T
+    karcher_est = np.array(_bases(means))[..., 0].T
     euclid_est = average_euclid(aligned)
     return amari_error(karcher_est, mixing), amari_error(euclid_est, mixing)
 

@@ -4,12 +4,12 @@ Three subcommands: ``karcher-mean`` averages the subspaces in a JSON file,
 ``distance`` reports the geodesic distance between exactly two stored
 subspaces, and ``bi-experiment`` runs the blind-identification benchmark
 sweep. Exit codes: 0 success, 1 usage or input errors, 2 the solver stopped
-without reaching the gradient tolerance, 3 a cut-locus failure.
+without reaching the gradient tolerance, 3 a cut-locus failure. ``argparse``
+is imported when the parser is built, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -28,16 +28,17 @@ EXIT_CUT_LOCUS = 3
 _STEP_RULES = {"backtrack": "backtracking", "newton": "newton_cp"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad usage; the contract here is 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with code 2 on bad usage; the contract here is 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     parser = _Parser(prog="grassmean",
                      description="Average subspaces of C^n and benchmark the result.")
     parser.add_argument("--version", action="version", version=f"grassmean {__version__}")

@@ -3,13 +3,11 @@
 A subspace file stores a list of orthonormal bases of a common C^n, each an
 n x m complex matrix written row-major with explicit {re, im} entries.
 Writing and re-reading is bit-exact for finite doubles because floats are
-serialized through repr.
+serialized through repr. ``json`` and ``csv`` are imported on first use, so
+importing the package does not load them.
 """
 
 from __future__ import annotations
-
-import csv
-import json
 
 import numpy as np
 
@@ -36,6 +34,8 @@ def write_subspace_file(path, bases) -> None:
     An error names the lowest basis the reader would reject for its shape or
     entries. Orthonormality is left to the reader, whose ``repair`` fixes it.
     """
+    import json
+
     mats = [b.matrix if isinstance(b, StiefelBasis) else np.asarray(b, dtype=complex)
             for b in bases]
     if not mats:
@@ -90,6 +90,8 @@ def read_subspace_file(path, repair: bool = False) -> list:
     polar factor. Errors go by kind (structure, non-finite, defect) and name the lowest basis.
     The bases are read-only views of the one checked stack and are not checked again.
     """
+    import json
+
     with open(path) as handle:
         try:
             payload = json.load(handle)
@@ -152,6 +154,8 @@ def _cell(value) -> str:
 
 def write_results_csv(path, rows) -> None:
     """Write benchmark trial rows (see blindid.TrialResult) as CSV."""
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trial", "sweep_param", "sweep_value",
@@ -164,6 +168,8 @@ def write_results_csv(path, rows) -> None:
 
 def write_trace_csv(path, trace) -> None:
     """Write a solver trace (karcher.CGTrace) as CSV."""
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "cost", "gradnorm", "stepsize"])

@@ -8,6 +8,9 @@ frame [X1 X2] of P, H is its block X1^H H X2 and the flow moves the frame in
 closed form (Edelman, Arias & Smith 1998). The logarithm and geodesic distance
 come from principal angles between the two subspaces, which one batched
 kernel computes from a unitary frame of the first and a basis of the second.
+A point keeps an orthonormal basis of its range: the one the package built it
+from, or, for a projector given by the caller, its top eigenvectors, found
+once on first use.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ class GrassmannPoint:
 
     matrix: np.ndarray
     rank: int = None  # inferred from the trace when omitted
+    # read-only n-by-m orthonormal basis of the range, set once: by ``_point``
+    # from the frame it builds from, else by ``_bases`` on first use
+    _basis = None
 
     def __post_init__(self):
         if self.rank is not None and (isinstance(self.rank, bool)
@@ -208,18 +214,35 @@ def _trusted(cls, **fields):
 
 
 def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
-    """The span of the first m columns of an orthonormal ``frame``, as a projector.
+    """The span of the first m columns of an orthonormal ``frame``, as a projector
+    that keeps a copy of those columns as its basis.
 
     It is made exactly Hermitian, as GrassmannPoint makes it, and not checked.
     """
-    x1 = frame[:, :m]
+    x1 = frame[:, :m].copy()  # owned, so the point does not hold on to the frame
     proj = x1 @ x1.conj().T
-    return _trusted(GrassmannPoint, matrix=0.5 * (proj + proj.conj().T), rank=m)
+    return _trusted(GrassmannPoint, matrix=0.5 * (proj + proj.conj().T), rank=m, _basis=x1)
+
+
+def _bases(points) -> list:
+    """The kept basis of each of ``points``, which share one rank m.
+
+    Points without one, projectors the caller built, get the first m columns
+    of their ``_frame`` from one batched call, and keep them.
+    """
+    bare = [point for point in points if point._basis is None]
+    if bare:  # two threads that fill one point at once compute the same bits
+        m = bare[0].rank
+        for point, frame in zip(bare, _frame(np.array([point.matrix for point in bare]), m)):
+            basis = frame[:, :m].copy()
+            basis.flags.writeable = False
+            object.__setattr__(point, "_basis", basis)
+    return [point._basis for point in points]
 
 
 def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
-    """Orthonormal basis of the projector's range (top eigenvectors), not checked again."""
-    return _trusted(StiefelBasis, matrix=_frame(point.matrix, point.rank)[:, :point.rank])
+    """Orthonormal basis of the projector's range, the one the point keeps; not checked again."""
+    return _trusted(StiefelBasis, matrix=_bases([point])[0])
 
 
 def complete_frame(basis) -> np.ndarray:
@@ -371,9 +394,7 @@ def _principal_angles(frame: np.ndarray, ys: np.ndarray):
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
-    m = point.rank
-    frame, other = _frame(np.array([point.matrix, other.matrix]), m)
-    return _principal_angles(frame, other[np.newaxis, :, :m])[0][0]
+    return _principal_angles(_frame(point.matrix, point.rank), np.array(_bases([other])))[0][0]
 
 
 def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
@@ -390,8 +411,8 @@ def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     """
     _require_same_space(point, target)
     m = point.rank
-    frame, other = _frame(np.array([point.matrix, target.matrix]), m)
-    _, block, cut, _ = _principal_angles(frame, other[np.newaxis, :, :m])
+    frame = _frame(point.matrix, m)
+    _, block, cut, _ = _principal_angles(frame, np.array(_bases([target])))
     if cut >= 0:
         raise CutLocusError(index=int(cut))
     return TangentVector(point, _tangent_matrix(frame, m, block))

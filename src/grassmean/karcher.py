@@ -32,6 +32,7 @@ from .grassmann import (
     GrassmannPoint,
     StiefelBasis,
     TangentVector,
+    _bases,
     _frame,
     _geodesic,
     _point,
@@ -130,10 +131,11 @@ class KarcherProblem:
     """A fixed collection of subspaces to be averaged, as one (N, n, m) stack.
 
     ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
-    validated when it was built. Types and shapes are checked as sets, and
-    projectors are reduced to bases by one batched ``_frame``. ``_stack`` is an
-    already-checked stack instead: (N, n, m), or (B, N, n, m) for a batch of B
-    problems that ``karcher_mean`` solves together.
+    validated when it was built. Types and shapes are checked as sets, and a
+    point contributes the basis it keeps; points without one, projectors the
+    caller built, are reduced by one batched ``_frame`` (see ``_bases``).
+    ``_stack`` is an already-checked stack instead: (N, n, m), or (B, N, n, m)
+    for a batch of B problems that ``karcher_mean`` solves together.
     """
 
     def __init__(self, data=(), *, _stack=None):
@@ -150,12 +152,9 @@ def _stack_of(data: tuple) -> np.ndarray:
             f"problem data must be StiefelBasis or GrassmannPoint, got {type(stray).__name__}")
     if len({(item.dim, item.rank) for item in data}) > 1:
         raise InvalidInputError("points live on different Grassmannians")
-    mats, m = [item.matrix for item in data], data[0].rank
-    points = [k for k, item in enumerate(data) if isinstance(item, GrassmannPoint)]
-    if points:
-        for k, frame in zip(points, _frame(np.array([mats[k] for k in points]), m)):
-            mats[k] = frame[:, :m]
-    stack = np.array(mats)
+    kept = iter(_bases([item for item in data if isinstance(item, GrassmannPoint)]))
+    stack = np.array([next(kept) if isinstance(item, GrassmannPoint) else item.matrix
+                      for item in data])
     stack.setflags(write=False)
     return stack
 

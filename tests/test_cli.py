@@ -284,12 +284,14 @@ def test_import_and_file_commands_leave_scipy_unloaded(tmp_path):
 
 
 def test_import_leaves_concurrent_futures_unloaded():
-    # generate_sources imports its draw thread's executor on first use, so
-    # the import that the benchmark's set-up time covers does no more work
+    # generate_sources imports its draw thread's executor on first use, the
+    # file layer its json and csv, and the CLI its argparse, so the import
+    # that the benchmark's set-up time covers does no more work
     src = Path(grassmean.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n"
          "import grassmean, grassmean.cli\n"
-         "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures loaded'"],
+         "loaded = {'concurrent.futures', 'json', 'csv', 'argparse'} & set(sys.modules)\n"
+         "assert not loaded, f'{sorted(loaded)} loaded'"],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -986,18 +986,47 @@ def test_one_failed_line_search_restarts_and_the_solve_converges(monkeypatch):
     assert calls[3] == -2.0 * (1.0 / 10) * gnorm * gnorm  # the steepest-descent slope
 
 
-def test_projector_data_take_one_batched_eigh():
-    # the bases of projector data are the ones _frame takes, bit for bit, from
-    # one eigh over the whole stack; a rank-deficient projector is still rejected
+def test_projector_data_take_one_batched_eigh(monkeypatch):
+    # points built by the package contribute the basis they keep, bit for bit;
+    # projectors the caller built take the ones _frame gives, bit for bit, from
+    # one eigh over all of them, and keep them; a rank-deficient projector is
+    # still rejected
     _, points = random_cloud(6, 2, 30, 0.5, np.random.default_rng(35))
-    bases = KarcherProblem(points).bases
-    for point, basis in zip(points, bases):
+    bare = tuple(GrassmannPoint(point.matrix) for point in points[::2])
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    bases = KarcherProblem(points + bare).bases
+    again = KarcherProblem(bare).bases
+    assert eighs == [(15, 6, 6)]
+    for point, basis in zip(points, bases[:30]):
+        assert basis.tobytes() == point._basis.tobytes()
+    for point, basis in zip(bare, bases[30:]):
         assert basis.tobytes() == karcher._frame(point.matrix, 2)[:, :2].tobytes()
+        assert point._basis.tobytes() == basis.tobytes() and not point._basis.flags.writeable
+    assert np.array_equal(again, bases[30:])
     broken = object.__new__(GrassmannPoint)
     object.__setattr__(broken, "matrix", np.zeros((3, 3), dtype=complex))
     object.__setattr__(broken, "rank", 1)
     with pytest.raises(InvalidInputError, match="rank deficient"):
         KarcherProblem((GrassmannPoint(np.diag([1.0, 0.0, 0.0])), broken))
+
+
+def test_built_points_reach_the_solver_without_eigh(monkeypatch):
+    # exp-built data and a returned mean hand over the bases they keep, so
+    # neither the problem nor basis_from_projector runs an eigendecomposition
+    _, points = random_cloud(5, 2, 12, 0.5, np.random.default_rng(37))
+    mean, trace = karcher_mean(KarcherProblem(points))
+    assert trace.converged
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    problem = KarcherProblem(points)
+    assert np.array_equal(problem.bases, [point._basis for point in points])
+    basis = basis_from_projector(mean)
+    assert basis.matrix is mean._basis
+    assert np.linalg.norm(projector_from_basis(basis).matrix - mean.matrix) < 1e-14
 
 
 def test_the_readers_stack_is_copied_once_in_order(tmp_path):

@@ -3,14 +3,14 @@
 A point is an n-by-n Hermitian projector P with trace m; a tangent vector at P
 is a Hermitian H with [P, [P, H]] = H. In this picture geodesics, parallel
 transport and the exponential map are all unitary conjugation flows
-e^{t[H,P]} (.) e^{-t[H,P]}, computed as in the Karcher solver: in a unitary
-frame [X1 X2] of P, H is its block X1^H H X2 and the flow moves the frame in
-closed form (Edelman, Arias & Smith 1998). The logarithm and geodesic distance
-come from principal angles between the two subspaces, which one batched
-kernel computes from a unitary frame of the first and a basis of the second.
-A point keeps an orthonormal basis of its range: the one the package built it
-from, or, for a projector given by the caller, its top eigenvectors, found
-once on first use.
+e^{t[H,P]} (.) e^{-t[H,P]}. They are computed as in the Karcher solver, on an
+orthonormal n-by-m basis X of P: H is read as the horizontal D = H X
+(X^H D = 0, and H = X D^H + D X^H), and the flow moves X and carries tangents
+in closed form (Edelman, Arias & Smith 1998, section 2.5). The logarithm and
+geodesic distance come from principal angles between the two subspaces, which
+one batched kernel computes from a basis of each. A point keeps an
+orthonormal basis of its range: the one the package built it from, or, for a
+projector given by the caller, its top eigenvectors, found once on first use.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class GrassmannPoint:
     matrix: np.ndarray
     rank: int = None  # inferred from the trace when omitted
     # read-only n-by-m orthonormal basis of the range, set once: by ``_point``
-    # from the frame it builds from, else by ``_bases`` on first use
+    # to the basis it builds from, else by ``_bases`` on first use
     _basis = None
 
     def __post_init__(self):
@@ -186,16 +186,7 @@ def projector_from_basis(basis) -> GrassmannPoint:
     """Orthogonal projector onto the column span of an orthonormal basis."""
     if not isinstance(basis, StiefelBasis):
         basis = StiefelBasis(basis)
-    return _point(basis.matrix, basis.rank)
-
-
-def _frame(proj: np.ndarray, m: int) -> np.ndarray:
-    """Unitary frames [X1 X2] of one exactly Hermitian rank-m projector or a stack
-    (..., n, n), from one ``eigh``: eigenvectors, range first; lower ranks are rejected."""
-    vals, vecs = np.linalg.eigh(proj)
-    if np.any(vals[..., -m] < 0.5):
-        raise InvalidInputError("projector is rank deficient")
-    return np.ascontiguousarray(vecs[..., ::-1])
+    return _point(basis.matrix)
 
 
 def _trusted(cls, **fields):
@@ -213,28 +204,30 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _point(frame: np.ndarray, m: int) -> GrassmannPoint:
-    """The span of the first m columns of an orthonormal ``frame``, as a projector
-    that keeps a copy of those columns as its basis.
-
-    It is made exactly Hermitian, as GrassmannPoint makes it, and not checked.
-    """
-    x1 = frame[:, :m].copy()  # owned, so the point does not hold on to the frame
-    proj = x1 @ x1.conj().T
-    return _trusted(GrassmannPoint, matrix=0.5 * (proj + proj.conj().T), rank=m, _basis=x1)
+def _point(basis: np.ndarray) -> GrassmannPoint:
+    """The span of an orthonormal n-by-m ``basis`` as a projector that keeps a copy
+    of it, made exactly Hermitian, as GrassmannPoint makes it, and not checked."""
+    basis = basis.copy()  # owned, so the point holds on to no larger array
+    proj = basis @ basis.conj().T
+    return _trusted(GrassmannPoint, matrix=0.5 * (proj + proj.conj().T), rank=basis.shape[1],
+                    _basis=basis)
 
 
 def _bases(points) -> list:
     """The kept basis of each of ``points``, which share one rank m.
 
-    Points without one, projectors the caller built, get the first m columns
-    of their ``_frame`` from one batched call, and keep them.
+    Points without one, projectors the caller built, get their top m
+    eigenvectors, in descending order, from one batched ``eigh``, and keep
+    them; a projector with fewer than m eigenvalues near 1 is rejected.
     """
     bare = [point for point in points if point._basis is None]
     if bare:  # two threads that fill one point at once compute the same bits
         m = bare[0].rank
-        for point, frame in zip(bare, _frame(np.array([point.matrix for point in bare]), m)):
-            basis = frame[:, :m].copy()
+        vals, vecs = np.linalg.eigh(np.array([point.matrix for point in bare]))
+        if np.any(vals[:, -m] < 0.5):
+            raise InvalidInputError("projector is rank deficient")
+        for point, vec in zip(bare, vecs):
+            basis = vec[:, ::-1][:, :m].copy()
             basis.flags.writeable = False
             object.__setattr__(point, "_basis", basis)
     return [point._basis for point in points]
@@ -276,54 +269,53 @@ def zero_tangent(point: GrassmannPoint) -> TangentVector:
     return TangentVector(point, np.zeros((point.dim, point.dim), dtype=complex))
 
 
-def _tangent_block(frame: np.ndarray, m: int, matrix: np.ndarray) -> np.ndarray:
-    """Block X1^H H X2 of a tangent matrix H in the frame [X1 X2]."""
-    return frame[:, :m].conj().T @ matrix @ frame[:, m:]
+def _horizontal(vector: TangentVector, basis: np.ndarray) -> np.ndarray:
+    """The horizontal D = H X - X X^H H X of a tangent H at span X = span ``basis``: a
+    checked tangent may keep a part along X up to TANGENT_TOL, which must move nothing."""
+    tangent = vector.matrix @ basis
+    return tangent - basis @ (basis.conj().T @ tangent)
 
 
-def _tangent_matrix(frame: np.ndarray, m: int, block: np.ndarray) -> np.ndarray:
-    """Hermitian matrix whose block in the frame [X1 X2] is [[0, B], [B^H, 0]]."""
-    half = frame[:, :m] @ block @ frame[:, m:].conj().T
+def _lift(basis: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """The n-by-n tangent X D^H + D X^H, exactly Hermitian, of the horizontal D = ``tangent``."""
+    half = basis @ tangent.conj().T
     return half + half.conj().T
 
 
-def _geodesic(frame: np.ndarray, m: int, block: np.ndarray):
-    """The frame [X1 X2] moved by the geodesic flow with velocity block D.
+def _geodesic(basis: np.ndarray, tangent: np.ndarray):
+    """The geodesic from span X with horizontal velocity D = ``tangent``.
 
-    With D = U S V^H, X1(t) = X1 + X1 U (cos tS - I) U^H + X2 V sin(tS) U^H
-    and X2(t) = X2 - X1 U sin(tS) V^H + X2 V (cos tS - I) V^H; the moved
-    frame is e^{t[H,P]} [X1 X2] for the tangent H with block D. Returns a
-    function of t giving the whole moved frame [X1(t) X2(t)]. Leading axes
-    are a batch, and t is a scalar or one value per batch entry.
+    With the thin SVD D = U S V^H, X(t) = X + (X V (cos tS - I) + U sin tS) V^H
+    is e^{t[H,P]} X for the tangent H = X D^H + D X^H, and parallel transport
+    carries a horizontal G at X to G - (X V sin tS + U (I - cos tS)) U^H G at
+    X(t) (Edelman, Arias & Smith 1998). Returns a function of t giving X(t) and
+    the transport, which takes tangents side by side, (..., n, k m). Leading
+    axes are a batch, and t is a scalar or one value per batch entry.
     """
-    x1, x2 = frame[..., :m], frame[..., m:]
-    u, sigma, vh = np.linalg.svd(block, full_matrices=False)
-    x1u, x2v, uh = x1 @ u, x2 @ vh.conj().swapaxes(-1, -2), u.conj().swapaxes(-1, -2)
+    u, sigma, vh = np.linalg.svd(tangent, full_matrices=False)
+    xv, uh = basis @ vh.conj().swapaxes(-1, -2), u.conj().swapaxes(-1, -2)
 
-    def at(t) -> np.ndarray:
+    def at(t):
         angle = np.asarray(t)[..., np.newaxis] * sigma
-        bend, sine = (np.cos(angle) - 1.0)[..., np.newaxis, :], np.sin(angle)[..., np.newaxis, :]
-        return np.concatenate([x1 + (x1u * bend + x2v * sine) @ uh,
-                               x2 + (x2v * bend - x1u * sine) @ vh], axis=-1)
+        cos, sine = np.cos(angle)[..., np.newaxis, :], np.sin(angle)[..., np.newaxis, :]
+        return basis + (xv * (cos - 1.0) + u * sine) @ vh, lambda tangents: (
+            tangents - (xv * sine + u * (1.0 - cos)) @ (uh @ tangents))
 
     return at
 
 
-def _moved_frame(point: GrassmannPoint, velocity: TangentVector, t: float):
-    """The frame of ``point`` and its image at t under the flow of ``velocity``."""
+def _flow(point: GrassmannPoint, velocity: TangentVector, t: float):
+    """The kept basis of ``point``, its image at t along ``velocity`` and the transport."""
     require_anchored(velocity, point)
     if isinstance(t, bool) or not isinstance(t, Real) or not -np.inf < t < np.inf:
         raise InvalidInputError(f"geodesic parameter must be a finite real number, got {t!r}")
-    m = point.rank
-    frame = _frame(point.matrix, m)
-    path = _geodesic(frame, m, _tangent_block(frame, m, velocity.matrix))
-    return frame, path(float(t))
+    basis = _bases([point])[0]
+    return basis, *_geodesic(basis, _horizontal(velocity, basis))(float(t))
 
 
 def geodesic(point: GrassmannPoint, velocity: TangentVector, t: float) -> GrassmannPoint:
     """Point at parameter t of the geodesic through ``point`` with ``velocity``."""
-    _, moved = _moved_frame(point, velocity, t)
-    return _point(moved, point.rank)
+    return _point(_flow(point, velocity, t)[1])
 
 
 def exp(point: GrassmannPoint, velocity: TangentVector) -> GrassmannPoint:
@@ -336,13 +328,10 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     """Transport ``vector`` along the geodesic driven by ``velocity``.
 
     Both inputs must be anchored at the same point; the result is anchored at
-    the geodesic point at parameter t. The vector keeps its block in the
-    moved frame, so transport is a metric isometry.
+    the geodesic point at parameter t. Transport is a metric isometry.
     """
-    point, m = vector.base, vector.base.rank
-    frame, moved = _moved_frame(point, velocity, t)
-    block = _tangent_block(frame, m, vector.matrix)
-    return TangentVector(_point(moved, m), _tangent_matrix(moved, m, block))
+    basis, moved, carry = _flow(vector.base, velocity, t)
+    return TangentVector(_point(moved), _lift(moved, carry(_horizontal(vector, basis))))
 
 
 def _overlap_svd(square: np.ndarray):
@@ -358,24 +347,24 @@ def _overlap_svd(square: np.ndarray):
     return square * (1.0 / np.maximum(cos, _TINY))[..., np.newaxis], cos, np.ones_like(square)
 
 
-def _principal_angles(frame: np.ndarray, ys: np.ndarray):
-    """Principal angles between span(X) and each span(ys[i]), with overlaps and logs.
+def _principal_angles(basis: np.ndarray, adjoint: np.ndarray):
+    """Principal angles between span(X) and each span(Y_i), with overlaps and logs.
 
-    ``ys`` is an (N, n, m) stack of orthonormal bases and ``frame`` a unitary
-    frame [X X2]; leading axes of both are a batch of problems. Every caller
-    (cost, distance, log and the solver) goes through this one factorization:
-    one GEMM forms the overlaps Y_i^H [X X2], and one batched SVD factors
-    their first m columns, Y_i^H X, as L C R^H. Returns the angles
-    arccos(C), (N, m), ascending per datum; the sum over i of
-    R diag(theta / sin theta) L^H Y_i^H X2, the top-right block of
-    sum_i log_X(span Y_i) in the frame [X X2] (Edelman, Arias & Smith 1998);
-    per problem, the worst datum whose smallest squared cosine is at most
-    CUT_LOCUS_TOL, or -1; and the factored overlaps (Y_i^H [X X2], L, C, R^H).
+    ``basis`` is an orthonormal n-by-m X and ``adjoint`` the (N m, n) stack of
+    the data's Y_i^H, one orthonormal basis per datum; leading axes of both
+    are a batch of problems. Every caller (cost, distance, log and the solver)
+    goes through this one factorization: one GEMM forms the overlaps
+    A_i = Y_i^H X, and one batched SVD factors them as L C R^H. Returns the
+    angles arccos(C), (N, m), ascending per datum; the summed log
+    sum_i log_X(span Y_i) = sum_i P_i L diag(theta / sin theta) R^H with
+    P_i = Y_i - X A_i^H, as a horizontal n-by-m tangent (Edelman, Arias &
+    Smith 1998); per problem, the worst datum whose smallest squared cosine
+    is at most CUT_LOCUS_TOL, or -1; and the factored overlaps (L, C, R^H).
     """
-    *batch, count, n, m = ys.shape
-    over = (ys.conj().swapaxes(-1, -2).reshape(*batch, count * m, n) @ frame).reshape(
-        *batch, count, m, n)
-    left, cos, right_h = _overlap_svd(over[..., :m])
+    *batch, _, m = basis.shape
+    count = adjoint.shape[-2] // m
+    over = adjoint @ basis
+    left, cos, right_h = _overlap_svd(over.reshape(*batch, count, m, m))
     cos = np.minimum(cos, 1.0)
     low = cos[..., -1] ** 2
     cut = np.full(low.shape[:-1], -1)
@@ -384,17 +373,23 @@ def _principal_angles(frame: np.ndarray, ys: np.ndarray):
     angles = np.arccos(cos)
     floored = np.maximum(angles, _TINY)  # theta / sin(theta) -> 1 at theta = 0
     right = right_h.conj().swapaxes(-1, -2) * (floored / np.sin(floored))[..., np.newaxis, :]
-    coef = right @ left.conj().swapaxes(-1, -2)  # (N, m, m)
-    # sum_i coef_i (Y_i^H X2) as one GEMM over the stacked (datum, column) index
-    stacked = coef.swapaxes(-3, -2).reshape(*batch, m, count * m)
-    return (angles, stacked @ over[..., m:].reshape(*batch, count * m, n - m), cut,
-            (over, left, cos, right_h))
+    coef = right @ left.conj().swapaxes(-1, -2)  # R diag(theta / sin theta) L^H, (N, m, m)
+    # the summed log is sum_i Y_i coef_i^H, one GEMM over the stacked (datum,
+    # column) index, less its part along X, projected off twice: the sum is of
+    # the size of N, and one projection leaves a part of the size of N eps
+    summed = (coef.swapaxes(-3, -2).reshape(*batch, m, count * m) @ adjoint).conj().swapaxes(
+        -1, -2)
+    basis_h = basis.conj().swapaxes(-1, -2)
+    for _ in range(2):
+        summed = summed - basis @ (basis_h @ summed)
+    return angles, summed, cut, (left, cos, right_h)
 
 
 def principal_angles(point: GrassmannPoint, other: GrassmannPoint) -> np.ndarray:
     """The m principal angles between the two subspaces, ascending, in radians."""
     _require_same_space(point, other)
-    return _principal_angles(_frame(point.matrix, point.rank), np.array(_bases([other])))[0][0]
+    basis, target = _bases([point, other])
+    return _principal_angles(basis, target.conj().T)[0][0]
 
 
 def dist(point: GrassmannPoint, other: GrassmannPoint) -> float:
@@ -410,9 +405,8 @@ def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     above CUT_LOCUS_TOL), otherwise CutLocusError.
     """
     _require_same_space(point, target)
-    m = point.rank
-    frame = _frame(point.matrix, m)
-    _, block, cut, _ = _principal_angles(frame, np.array(_bases([target])))
+    basis, other = _bases([point, target])
+    _, tangent, cut, _ = _principal_angles(basis, other.conj().T)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return TangentVector(point, _tangent_matrix(frame, m, block))
+    return TangentVector(point, _lift(basis, tangent))

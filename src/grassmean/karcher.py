@@ -1,17 +1,18 @@
 """Karcher means of subspaces by geometric conjugate gradient.
 
 The cost is the mean squared geodesic distance to a fixed set of subspaces,
-held as one (N, n, m) stack of orthonormal bases. One batched principal-angle
+held as one (N, n, m) stack of orthonormal bases. The solver carries an
+orthonormal n-by-m basis X of the current point, and tangents as horizontal
+n-by-m D, X^H D = 0 (Edelman, Arias & Smith 1998). One batched principal-angle
 kernel call per iterate gives the cost (the squared angles), the gradient (the
-summed logs of the data, as blocks in a unitary frame [X1 X2] of the current
-point) and the factored overlaps Y_i^H [X1 X2] that the Newton step reads. The
-solver carries that frame (Edelman, Arias & Smith 1998): a tangent vector is
-its m-by-(n-m) block, geodesics move the whole frame, and parallel transport
-leaves blocks unchanged. Direction rules are the classical conjugate ones;
-step sizes come from backtracking or, at any rank, a Newton step on the cost's
-exact second derivative along the geodesic. A backtracking search reads its
-first trial from the next iterate's own kernel call.
-Projector objects are built only for the result and the callback.
+summed data logs) and the factored overlaps Y_i^H X that the Newton step reads.
+Geodesics move X in closed form, and one product carries the old gradient and
+direction to the new basis for the conjugate coefficient. Direction rules are
+the classical conjugate ones; step sizes come from backtracking or, at any
+rank, a Newton step on the cost's exact second derivative along the geodesic.
+A backtracking search reads its first trial from the next iterate's own kernel
+call. Past the anchor's averaged projector, n-by-n matrices are built only for
+the result and the callback.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from .grassmann import (
     StiefelBasis,
     TangentVector,
     _bases,
-    _frame,
     _geodesic,
+    _horizontal,
+    _lift,
     _point,
     _principal_angles,
-    _tangent_block,
-    _tangent_matrix,
     _trusted,
-    complete_frame,
     require_anchored,
 )
 
@@ -85,7 +84,7 @@ class CGConfig:
             raise InvalidInputError("max_iter must be an integer of at least 1")
 
 
-@dataclass
+@dataclass(slots=True)  # no per-row dict: a long trace holds one row per iterate
 class CGIterate:
     iteration: int
     cost: float
@@ -96,6 +95,9 @@ class CGIterate:
     step_capped: bool = False
     shrinks: int = 0  # kernel evaluations of the line search beyond the iterate's own
     noise_floor: bool = False  # the model step 1/N, taken without a comparison
+    # why ``restart`` is set, the first that applies: "periodic", "fallback" (a
+    # degenerate coefficient), "forced" (steepest descent searched) or "none"
+    restart_reason: str = "none"
 
 
 @dataclass
@@ -133,7 +135,7 @@ class KarcherProblem:
     ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
     validated when it was built. Types and shapes are checked as sets, and a
     point contributes the basis it keeps; points without one, projectors the
-    caller built, are reduced by one batched ``_frame`` (see ``_bases``).
+    caller built, are reduced by one batched ``eigh`` (see ``_bases``).
     ``_stack`` is an already-checked stack instead: (N, n, m), or (B, N, n, m)
     for a batch of B problems that ``karcher_mean`` solves together.
     """
@@ -159,14 +161,20 @@ def _stack_of(data: tuple) -> np.ndarray:
     return stack
 
 
-def _frame_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
+def _basis_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
     if point.dim != problem.dim or point.rank != problem.rank:
         raise InvalidInputError("point does not live on the problem's Grassmannian")
-    return _frame(point.matrix, point.rank)
+    return _bases([point])[0]
+
+
+def _adjoint(bases: np.ndarray) -> np.ndarray:
+    """The (..., N m, n) stack of the Y_i^H of an (..., N, n, m) stack, the kernel's data."""
+    *batch, count, n, m = bases.shape
+    return bases.conj().swapaxes(-1, -2).reshape(*batch, count * m, n)
 
 
 def _metric(first: np.ndarray, second: np.ndarray):
-    """Inner product of tangent blocks in a common frame, 2 Re<B1, B2>, per leading index."""
+    """Inner product tr(H1 H2) = 2 Re<D1, D2> of horizontal tangents, per leading index."""
     flat = first.shape[:-2] + (-1,)
     return np.vecdot(first.reshape(flat), second.reshape(flat)).real * 2.0
 
@@ -176,47 +184,50 @@ def _cost(angles: np.ndarray) -> np.ndarray:
     return 2.0 * (angles * angles).sum(axis=(-2, -1)) / angles.shape[-2]
 
 
+def _evaluate(adjoint: np.ndarray, basis: np.ndarray):
+    """Angles, cost, residual, cut index and factored overlaps at ``basis``.
+
+    ``adjoint`` is the data as ``_adjoint`` stacks it. The residual, minus the
+    summed data logs, is N/2 times the gradient of karcher_cost. The solver
+    searches along it, so the step 1/N is the Karcher fixed-point step (a
+    move by the mean log) and step 1 is exact for one datum.
+    """
+    angles, tangent, cut, factors = _principal_angles(basis, adjoint)
+    return angles, _cost(angles), -tangent, cut, factors
+
+
+def _at(problem: KarcherProblem, point: GrassmannPoint) -> tuple:
+    """The kept basis of ``point`` and its ``_evaluate``, less the cut index;
+    CutLocusError (with the datum index) if ``point`` is at the cut locus of a datum."""
+    basis = _basis_of(problem, point)
+    angles, cost, residual, cut, factors = _evaluate(_adjoint(problem.bases), basis)
+    if cut >= 0:
+        raise CutLocusError(index=int(cut))
+    return basis, angles, cost, residual, factors
+
+
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
     """Mean squared geodesic distance from ``point`` to the problem data; CutLocusError
     (with the datum index) if ``point`` is at the cut locus of a datum."""
-    _, cost, _, cut, _ = _evaluate(problem.bases, _frame_of(problem, point))
-    if cut >= 0:
-        raise CutLocusError(index=int(cut))
-    return float(cost)
+    return float(_at(problem, point)[2])
 
 
-def _evaluate(bases: np.ndarray, frame: np.ndarray):
-    """Angles, cost, residual block, cut index and factored overlaps at ``frame``.
+def _move(path, steps, adjoint: np.ndarray) -> tuple:
+    """The bases at ``steps`` along ``path``, one per problem, with their ``_evaluate``.
 
-    The residual, minus the summed data logs, is N/2 times the gradient of
-    karcher_cost. The solver searches along it, so the step 1/N is the
-    Karcher fixed-point step (a move by the mean log) and step 1 is exact for
-    one datum.
+    Returns (basis, transport, angles, cost, residual, cut, factors) over the
+    batch. One Bjorck-Bowie polar step X(3I - X^H X)/2 removes the rounding
+    from the moved basis.
     """
-    angles, block, cut, factors = _principal_angles(frame, bases)
-    return angles, _cost(angles), -block, cut, factors
-
-
-def _move(path, steps, bases: np.ndarray) -> tuple:
-    """The frames at ``steps`` along ``path``, one per problem, with their ``_evaluate``.
-
-    Returns (frame, angles, cost, residual, cut, factors) over the batch. The
-    flow is unitary up to rounding; one Bjorck-Bowie polar step
-    F(3I - F^H F)/2 restores it, and the nearest unitary keeps carried blocks
-    valid.
-    """
-    moved = path(steps)
-    frame = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
-    return frame, *_evaluate(bases, frame)
+    moved, carry = path(steps)
+    basis = 1.5 * moved - 0.5 * moved @ (moved.conj().swapaxes(-1, -2) @ moved)
+    return basis, carry, *_evaluate(adjoint, basis)
 
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
-    frame, m = _frame_of(problem, point), problem.rank
-    _, _, block, cut, _ = _evaluate(problem.bases, frame)
-    if cut >= 0:
-        raise CutLocusError(index=int(cut))
-    return TangentVector(point, _tangent_matrix(frame, m, (2.0 / problem.size) * block))
+    basis, _, _, residual, _ = _at(problem, point)
+    return TangentVector(point, _lift(basis, (2.0 / problem.size) * residual))
 
 
 def backtracking_step(objective, value0: float, slope: float, step: float) -> float:
@@ -253,45 +264,46 @@ def _at_noise_floor(decrease: float, value0: float) -> bool:
     return decrease <= NOISE_SLOPE_FACTOR * _EPS * max(1.0, value0)
 
 
-def _newton_step(factors: tuple, block: np.ndarray, angles: np.ndarray, slope: np.ndarray):
-    """Newton step sizes -F'(0) / |F''(0)| along the tangent blocks D = ``block`` of a frame.
+def _newton_step(factors: tuple, adjoint: np.ndarray, tangent: np.ndarray, angles: np.ndarray,
+                 slope: np.ndarray):
+    """Newton step sizes -F'(0) / |F''(0)| along the horizontal tangents D = ``tangent`` at X.
 
-    ``factors`` and ``angles`` are the kernel's (N, m, n) overlaps Y_i^H [X1 X2]
-    with the factors Y_i^H X1 = L C R^H, and its (N, m) angles, at that frame;
-    ``slope`` is F'(0), and leading axes are a batch. With W_i = (Y_i^H X2)^H L
-    diag(1 / sin theta) (0 where sin theta = 0), T = R^H D, P = T W_i and the
-    Jacobi-field weights w(phi) = phi cot phi (Absil, Mahony & Sepulchre, Acta
-    Appl. Math. 2004; Ferreira, Xavier, Costeira & Barroso, IEEE JSTSP 2013),
+    ``factors`` and ``angles`` are the kernel's factors Y_i^H X = L C R^H and
+    its (N, m) angles at that basis, ``adjoint`` is the data as ``_adjoint``
+    stacks them, ``slope`` is F'(0), and leading axes are a batch. With
+    W_i = Y_i L diag(1 / sin theta) (0 where sin theta = 0), T = R^H D^H,
+    P = T W_i and the Jacobi-field weights w(phi) = phi cot phi (Absil,
+    Mahony & Sepulchre, Acta Appl. Math. 2004; Ferreira, Xavier, Costeira &
+    Barroso, IEEE JSTSP 2013),
     F''(0) = 4/N sum_i [1/4 sum_kl (|(P + P^H)_kl|^2 w(theta_k - theta_l) +
     |(P - P^H)_kl|^2 w(theta_k + theta_l)) + sum_k w(theta_k) (|T_k|^2 - |P_k|^2)],
     finite below the cut locus. Returns the steps and a list of None or each
     problem's DegenerateCurvatureError; a failed problem's step is 0.
     """
-    over, left, cos, right_h = factors
-    *batch, count, m, n = over.shape
+    left, cos, right_h = factors
+    *batch, count, m = cos.shape
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = np.where(cos < 1.0, 1.0 / np.sqrt(1.0 - cos * cos), 0.0)  # 1 / sin theta
-        # (Y_i^H X2) D^H of every datum from one GEMM over the stacked (datum, column) index
-        mixed = over[..., m:].reshape(*batch, count * m, n - m) @ block.conj().swapaxes(-1, -2)
-        p = (right_h @ mixed.reshape(*batch, count, m, m).conj().swapaxes(-1, -2) @ left
-             * inverse[..., np.newaxis, :])
+        # Y_i^H D of every datum from one GEMM over the stacked (datum, column) index
+        mixed = (adjoint @ tangent).reshape(*batch, count, m, m)
+        p = (right_h @ mixed.conj().swapaxes(-1, -2) @ left * inverse[..., np.newaxis, :])
         squared, cross = (p * p.conj()).real, (p * p.swapaxes(-1, -2)).real
         row, col = angles[..., :, np.newaxis], angles[..., np.newaxis, :]  # theta_k, theta_l
         # w at theta_k - theta_l, theta_k + theta_l and theta_k, floored so that w(0) = 1
         minus, plus, weight = (phi / np.tan(phi) for phi in (
             np.maximum(np.abs(x), _TINY) for x in (row - col, row + col, row)))
         # the sum over k, l in |P_kl|^2 and Re(P_kl P_lk); the |T_k|^2 sum over
-        # data is tr(D D^H sum_i R diag(w(theta)) R^H)
+        # data is tr(D^H D sum_i R diag(w(theta)) R^H)
         pairs = (squared + cross) * minus + (squared - cross) * plus - 2.0 * squared * weight
         rotated = (right_h.conj().swapaxes(-1, -2) * weight.swapaxes(-1, -2)) @ right_h
-        lone = np.vecdot((block @ block.conj().swapaxes(-1, -2)).reshape(*batch, -1),
+        lone = np.vecdot((tangent.conj().swapaxes(-1, -2) @ tangent).reshape(*batch, -1),
                          rotated.sum(axis=-3).reshape(*batch, -1)).real
         second = (2.0 / count) * (pairs.sum(axis=(-3, -2, -1)) + 2.0 * lone)
         step = -slope / np.abs(second)
     # F'' along D scales with |D|^2, so degeneracy is a relative statement;
     # an absolute floor would trip on healthy short directions near the optimum
     flat = (slope != 0.0) & (np.abs(second) < CURVATURE_TOL * np.maximum(
-        _metric(block, block), _TINY))
+        _metric(tangent, tangent), _TINY))
     errors = [DegenerateCurvatureError(f"second derivative {s:.3e} is numerically zero")
               if low else None for low, s in zip(flat.ravel().tolist(), second.ravel().tolist())]
     return np.where(flat | (slope == 0.0), 0.0, step), errors
@@ -300,13 +312,11 @@ def _newton_step(factors: tuple, block: np.ndarray, angles: np.ndarray, slope: n
 def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
                    direction: TangentVector) -> float:
     """Newton step size along ``direction``; CutLocusError as ``karcher_cost``."""
-    frame, m = _frame_of(problem, point), problem.rank
     require_anchored(direction, point)
-    angles, _, grad, cut, factors = _evaluate(problem.bases, frame)
-    if cut >= 0:
-        raise CutLocusError(index=int(cut))
-    block = _tangent_block(frame, m, direction.matrix)
-    step, (error,) = _newton_step(factors, block, angles, (2.0 / problem.size) * _metric(grad, block))
+    basis, angles, _, grad, factors = _at(problem, point)
+    tangent = _horizontal(direction, basis)
+    slope = (2.0 / problem.size) * _metric(grad, tangent)
+    step, (error,) = _newton_step(factors, _adjoint(problem.bases), tangent, angles, slope)
     if error is not None:
         raise error
     return float(step)
@@ -327,10 +337,10 @@ def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
                  dir_old: np.ndarray):
     """Conjugate-direction coefficient and a flag for degenerate fallback.
 
-    The arguments are tangent blocks in one frame; transport along the
-    geodesic leaves blocks unchanged, so old blocks are transported ones. A
+    The arguments are horizontal tangents at one basis: the old gradient and
+    direction are the ones parallel transport carried there along the step. A
     zero denominator or a non-finite ratio falls back to 0. Returns arrays of
-    coefficients and fallback flags over the blocks' leading axes.
+    coefficients and fallback flags over the tangents' leading axes.
     """
     num, den = _CONJUGATE[rule](grad_new, grad_new - grad_old, grad_old, dir_old)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -339,31 +349,30 @@ def _coefficient(rule: str, grad_new: np.ndarray, grad_old: np.ndarray,
     return np.where(fallback, 0.0, coeff), fallback
 
 
-def _anchor_frame(problem: KarcherProblem) -> np.ndarray:
-    """Unitary frame whose first m columns span the Euclidean anchor, per problem.
+def _anchor(problem: KarcherProblem) -> np.ndarray:
+    """Orthonormal basis of the Euclidean anchor, per problem.
 
     The anchor is the dominant eigenspace of the averaged data projectors, an
-    average that is one GEMM on the stack; its descending eigenvectors are
-    the frame. With one datum, with m = n, or when the spectral gap at the cut
-    is below INIT_GAP_TOL (ill-defined eigenspace), the frame is the first
-    datum's basis completed by ``complete_frame``.
+    average that is one GEMM on the stack; its basis is the top m
+    eigenvectors, in descending order. With one datum, with m = n, or when the
+    spectral gap at the cut is below INIT_GAP_TOL (ill-defined eigenspace),
+    it is the first datum's basis itself.
     """
     *batch, count, n, m = problem.bases.shape
-    frame, gapped = np.empty((*batch, n, n), dtype=complex), np.zeros(batch, dtype=bool)
-    if count > 1 and m < n:
-        stacked = problem.bases.swapaxes(-3, -2).reshape(*batch, n, count * m)
-        average = stacked @ stacked.conj().swapaxes(-1, -2) / count
-        vals, vecs = np.linalg.eigh(0.5 * (average + average.conj().swapaxes(-1, -2)))
-        frame = np.ascontiguousarray(vecs[..., ::-1])
-        gapped = vals[..., n - m] - vals[..., n - m - 1] >= INIT_GAP_TOL
-    for index in map(tuple, np.argwhere(~gapped)):
-        frame[index] = complete_frame(problem.bases[index][0])
-    return frame
+    first = problem.bases[..., 0, :, :]
+    if count == 1 or m == n:
+        return first
+    stacked = problem.bases.swapaxes(-3, -2).reshape(*batch, n, count * m)
+    average = stacked @ stacked.conj().swapaxes(-1, -2) / count
+    vals, vecs = np.linalg.eigh(0.5 * (average + average.conj().swapaxes(-1, -2)))
+    gapped = vals[..., n - m] - vals[..., n - m - 1] >= INIT_GAP_TOL
+    return np.where(gapped[..., np.newaxis, np.newaxis], vecs[..., ::-1][..., :m], first)
 
 
-def default_init(problem: KarcherProblem) -> GrassmannPoint:
-    """Euclidean anchor: the span of the first m columns of ``_anchor_frame``."""
-    return _point(_anchor_frame(problem), problem.rank)
+def default_init(problem: KarcherProblem):
+    """Euclidean anchor: the span of ``_anchor``, or a list of B spans for a batch of B."""
+    anchor = _anchor(problem)
+    return [_point(basis) for basis in anchor] if anchor.ndim == 3 else _point(anchor)
 
 
 def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
@@ -371,7 +380,7 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     """Minimize the Karcher cost by conjugate gradient on the Grassmannian.
 
     ``init`` (a GrassmannPoint) defaults to the Euclidean anchor of the data,
-    and then the solver starts from the anchor's frame (``_anchor_frame``).
+    and then the solver starts from the anchor's basis (``_anchor``).
     ``callback(iteration, point, grad, direction)``, if given, is called after
     the initial evaluation and after every accepted update. Returns ``(point,
     trace)``. Unrecoverable failures (cut locus at an iterate, exhausted line
@@ -398,21 +407,20 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
         config = CGConfig()
     n, m, count = problem.dim, problem.rank, problem.size
     batched = problem.bases.ndim == 4
-    bases = problem.bases if batched else problem.bases[np.newaxis]
-    start = _anchor_frame(problem) if init is None else _frame_of(problem, init)
-    frame = np.broadcast_to(start, (len(bases), n, n))
-    ids, result, failed = list(range(len(bases))), np.empty_like(frame), {}
+    adjoint = _adjoint(problem.bases if batched else problem.bases[np.newaxis])
+    start = _anchor(problem) if init is None else _basis_of(problem, init)
+    basis = np.broadcast_to(start, (len(adjoint), n, m))
+    ids, result, failed = list(range(len(adjoint))), np.empty_like(basis), {}
     traces = [CGTrace() for _ in ids]
     period = max(1, 2 * m * (n - m) - 1)
     first_step, backtrack = 1.0 / count, config.step_rule == "backtracking"
 
     def view(k):  # the callback's point, gradient and direction of running problem k
-        point = _point(frame[k], m)
-        return (point, *(_trusted(TangentVector, base=point,
-                                  matrix=_tangent_matrix(frame[k], m, block[k]))
-                         for block in (grad, direction)))
+        point = _point(basis[k])
+        return (point, *(_trusted(TangentVector, base=point, matrix=_lift(basis[k], tangent[k]))
+                         for tangent in (grad, direction)))
 
-    # per-problem scalars are lists, and blocks and frames arrays, over the
+    # per-problem scalars are lists, and bases and tangents arrays, over the
     # running problems in problem order
     for iteration in range(config.max_iter + 1):
         size = len(ids)
@@ -432,22 +440,23 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                         backtrack and _at_noise_floor(-first_step * slopes[k], cost[k])):
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
             if not backtrack:
-                step, errors = _newton_step(factors, direction, angles, np.array(slopes))
+                step, errors = _newton_step(factors, adjoint, direction, angles, np.array(slopes))
                 capped = (step > NEWTON_STEP_CAP).tolist()
                 steps = np.minimum(step, NEWTON_STEP_CAP).tolist()
-            path, origin = _geodesic(frame, m, direction), frame
-            frame, angles, new_cost, new_grad, cut, factors = _move(path, np.array(steps), bases)
+            path, origin = _geodesic(basis, direction), basis
+            basis, carry, angles, new_cost, new_grad, cut, factors = _move(
+                path, np.array(steps), adjoint)
             for k in range(size) if backtrack else ():
 
                 def line_value(a):
                     # the batch holds the evaluation at ``steps``; a shrunk
                     # trial sets steps[k] and moves the batch again, so the
                     # accepted step's evaluation is the next iterate
-                    nonlocal frame, angles, new_cost, new_grad, cut, factors
+                    nonlocal basis, carry, angles, new_cost, new_grad, cut, factors
                     if a != steps[k]:
                         steps[k], shrinks[k] = a, shrinks[k] + 1
-                        frame, angles, new_cost, new_grad, cut, factors = _move(
-                            path, np.array(steps), bases)
+                        basis, carry, angles, new_cost, new_grad, cut, factors = _move(
+                            path, np.array(steps), adjoint)
                     return np.inf if cut[k] >= 0 else float(new_cost[k])
 
                 while not noise_floor[k]:
@@ -461,16 +470,19 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                         # a stale conjugate direction can degenerate to numerical
                         # noise; retry from steepest descent before giving up
                         direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
-                        path, steps[k] = _geodesic(origin, m, direction), None
+                        path, steps[k] = _geodesic(origin, direction), None
         else:
-            angles, new_cost, new_grad, cut, factors = _evaluate(bases, frame)
+            angles, new_cost, new_grad, cut, factors = _evaluate(adjoint, basis)
         new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
         periodic = iteration > 0 and iteration % period == 0
         if iteration == 0 or periodic:
             fallback, new_direction = [False] * size, -new_grad
         else:
-            coeff, fallback = _coefficient(config.direction_rule, new_grad, grad, direction)
-            new_direction = -new_grad + coeff[:, np.newaxis, np.newaxis] * direction
+            # the old gradient and direction, carried to the new basis in one product
+            carried = carry(np.concatenate([grad, direction], axis=-1))
+            coeff, fallback = _coefficient(config.direction_rule, new_grad,
+                                           carried[..., :m], carried[..., m:])
+            new_direction = -new_grad + coeff[:, np.newaxis, np.newaxis] * carried[..., m:]
         rule = "init" if iteration == 0 else config.direction_rule
         for k, i in enumerate(cut.tolist()):
             errors[k] = errors[k] or (CutLocusError(index=i) if i >= 0 else None)
@@ -478,9 +490,11 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                 failed[ids[k]] = errors[k]
                 continue
             sd = periodic or bool(fallback[k])
+            reason = "periodic" if periodic else "fallback" if sd else (
+                "forced" if forced[k] else "none")
             traces[ids[k]].iterates.append(CGIterate(
                 iteration, new_cost[k], new_gnorm[k], steps[k], "sd" if sd else rule,
-                sd or forced[k], capped[k], shrinks[k], noise_floor[k]))
+                sd or forced[k], capped[k], shrinks[k], noise_floor[k], reason))
         grad, cost, gnorm, direction = new_grad, new_cost, new_gnorm, new_direction
         if callback is not None and not all(errors):
             rows = {ids[k]: view(k) for k, err in enumerate(errors) if err is None}
@@ -488,14 +502,14 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
                      if batched else rows[0])
         keep = [err is None and g >= config.grad_tol for err, g in zip(errors, gnorm)]
         if not all(keep):
-            result[ids] = frame
+            result[ids] = basis
             if not any(keep):
                 break
             ids, cost, gnorm = ([v for v, go in zip(part, keep) if go] for part in (ids, cost, gnorm))
             keep = np.array(keep)
-            bases, frame, angles, grad, direction, *factors = (
-                part[keep] for part in (bases, frame, angles, grad, direction, *factors))
-    result[ids] = frame
+            adjoint, basis, angles, grad, direction, *factors = (
+                part[keep] for part in (adjoint, basis, angles, grad, direction, *factors))
+    result[ids] = basis
     for index, trace in enumerate(traces):
         trace.status = failed[index].status if index in failed else (
             "converged" if trace.iterates[-1].grad_norm < config.grad_tol else "max_iter")
@@ -503,5 +517,5 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
         index = min(failed)
         failed[index].trace, failed[index].problem = traces[index], index
         raise failed[index]
-    points = [_point(end, m) for end in result]
+    points = [_point(end) for end in result]
     return (points, BatchTrace(traces)) if batched else (points[0], traces[0])

@@ -24,7 +24,7 @@ from grassmean.grassmann import (
     tangent_project,
     zero_tangent,
 )
-from grassmean.karcher import KarcherProblem, karcher_cost
+from grassmean.karcher import KarcherProblem, karcher_cost, newton_step_cp
 
 
 def test_point_validation():
@@ -332,13 +332,15 @@ def test_log_rejects_mismatched_spaces():
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.data())
 def test_a_built_point_and_its_bare_twin_agree(data):
-    # a point built by exp keeps its moved frame's columns as its basis; its
-    # twin GrassmannPoint(point.matrix) takes the projector's eigenvectors,
-    # which differ by an m-by-m unitary, so every reading agrees at rounding.
+    # a point built by exp keeps its moved basis; its twin
+    # GrassmannPoint(point.matrix) takes the projector's eigenvectors, which
+    # differ by an m-by-m unitary, so every reading agrees at rounding.
     # Angles are compared squared: arccos turns a rounding error in a cosine
     # near 1 into an angle error of its square root. Largest differences over
     # 6000 random draws of this kind: log and the exp/log round trip 4.4e-15,
-    # squared angles 3.1e-15, squared distance and cost 1.7e-14.
+    # squared angles 3.1e-15, squared distance and cost 1.7e-14. exp moves
+    # the point's kept basis, so the twins' images differ at rounding (4.2e-15
+    # at most over 20000 draws); from one projector it gives equal bits.
     n = data.draw(st.integers(2, 8), label="n")
     m = data.draw(st.integers(1, n - 1), label="m")
     t = float(np.exp(data.draw(st.floats(np.log(1e-6), np.log(1.4)), label="log distance")))
@@ -361,4 +363,30 @@ def test_a_built_point_and_its_bare_twin_agree(data):
     round_trip = [exp(anchor, log(anchor, q)).matrix for q in (point, twin)]
     assert np.linalg.norm(round_trip[0] - round_trip[1]) <= 1.5e-14
     velocity = random_tangent(point, rng, 0.5)
-    assert np.array_equal(exp(point, velocity).matrix, exp(twin, velocity).matrix)
+    moved = exp(twin, velocity).matrix
+    assert np.array_equal(moved, exp(GrassmannPoint(point.matrix), velocity).matrix)
+    assert np.linalg.norm(exp(point, velocity).matrix - moved) <= 1e-14
+
+
+def test_a_tolerated_vertical_part_moves_nothing():
+    # a tangent is accepted with a part along its point's span up to
+    # TANGENT_TOL; the geodesic, transport and Newton step read only the
+    # horizontal part, so even far along t the image is a projector whose
+    # kept basis is orthonormal, and the Newton step is the horizontal one's
+    rng = np.random.default_rng(29)
+    point = random_point(5, 2, rng)
+    vertical = 5e-11 * point.matrix
+    horizontal = random_tangent(point, rng, 1.0)
+    for part in (zero_tangent(point), horizontal):
+        velocity = TangentVector(point, part.matrix + vertical)
+        for t in (1.0, 1.5e10):
+            moved = geodesic(point, velocity, t)
+            assert np.linalg.norm(moved.matrix @ moved.matrix - moved.matrix) <= 1e-13
+            basis = moved._basis
+            assert np.linalg.norm(basis.conj().T @ basis - np.eye(2)) <= 1e-13
+            # a checked tangent at the moved point, of its horizontal part's norm
+            carried = parallel_transport(velocity, velocity, t)
+            assert abs(carried.norm() - part.norm()) <= 1e-12
+    cloud = KarcherProblem([exp(point, random_tangent(point, rng, 0.4)) for _ in range(6)])
+    mixed = newton_step_cp(cloud, point, TangentVector(point, horizontal.matrix + vertical))
+    assert abs(mixed - newton_step_cp(cloud, point, horizontal)) <= 1e-13 * mixed

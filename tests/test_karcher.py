@@ -21,7 +21,6 @@ from grassmean.grassmann import (
     _geodesic,
     basis_from_projector,
     commutator,
-    complete_frame,
     dist,
     exp,
     geodesic,
@@ -268,7 +267,8 @@ def test_default_config_converges_on_clouds_at_4_2_20():
 
 
 @pytest.mark.parametrize("n, m, count, seeds", [
-    (60, 6, 200, 3), (20, 4, 400, 3), (20, 4, 1000, 3), (8, 1, 2000, 3), (8, 1, 20000, 2)])
+    (60, 6, 200, 3), (20, 4, 400, 3), (20, 4, 1000, 3), (8, 1, 2000, 3), (8, 1, 20000, 2),
+    (300, 2, 30, 3)])
 def test_default_config_converges_across_data_counts(n, m, count, seeds):
     # these clouds need every step scale to follow N: the summed field's slope
     # in the Armijo test of the mean cost, or a noise-floor guard that ignores
@@ -304,28 +304,30 @@ def test_default_config_terminates_converged(data):
 
 
 def _solve_cloud_or_stop_typed(data, draw_radius):
-    # clouds of N log-uniform in [1, 2000] data at geodesic distances
-    # 0.2..1 x radius from the first m columns of one frame, built as one
-    # stack along _geodesic: every solve converges or stops with a typed
-    # status and its trace, and every iterate's recorded cost is
-    # karcher_cost at the callback's point
-    n = data.draw(st.integers(2, 8), label="n")
+    # clouds at geodesic distances 0.2..1 x radius from span X, built as one
+    # stack along the thin _geodesic: every solve converges or stops with a
+    # typed status and its trace, and every iterate's recorded cost is
+    # karcher_cost at the callback's point. n <= 16 with every m < n, and N
+    # log-uniform from 1 up to 2000, or up to 10^4 as far as n m N <= 40 000,
+    # so the largest N come at small n
+    n = data.draw(st.integers(2, 16), label="n")
     m = data.draw(st.integers(1, n - 1), label="m")
     # log-uniform on a grid of 200 steps, drawn as an offset from the middle
-    # step (N = 45): hypothesis draws an integer range's values nearest 0
-    # most often, and at N = 1 every solve stops at iteration 0
+    # step: hypothesis draws an integer range's values nearest 0 most often,
+    # and at N = 1 every solve stops at iteration 0
     log_step = 100 + data.draw(st.integers(-100, 100), label="log N step")
-    count = round(2000.0 ** (log_step / 200))
+    count = round(max(2000.0, min(1e4, 4e4 / (n * m))) ** (log_step / 200))
     radius = draw_radius(data)
     step_rule = data.draw(st.sampled_from(STEP_RULES), label="step_rule")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    blocks = rng.standard_normal((count, m, n - m)) + 1j * rng.standard_normal((count, m, n - m))
+    basis = random_unitary(n, rng)[:, :m]
+    blocks = rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m))
+    blocks -= basis @ (basis.conj().T @ blocks)  # horizontal at the basis
     # the projector metric is sqrt(2) times the norm of the principal angles
     blocks *= (rng.uniform(0.2, 1.0, count) * radius / np.sqrt(2.0)
                / np.linalg.norm(blocks, axis=(1, 2)))[:, None, None]
-    frames = np.broadcast_to(random_unitary(n, rng), (count, n, n))
-    # the geodesic moves whole frames; their first m columns are the data
-    problem = KarcherProblem(_stack=_geodesic(frames, m, blocks)(1.0)[..., :m])
+    stack, _ = _geodesic(np.broadcast_to(basis, blocks.shape), blocks)(1.0)
+    problem = KarcherProblem(_stack=stack)
     assert problem.rank == m
     seen = []
     try:
@@ -344,9 +346,13 @@ def _solve_cloud_or_stop_typed(data, draw_radius):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.data())
 def test_wide_range_solves_converge_or_stop_typed(data):
-    # radius log-uniform in [1e-10, 1.5], on a grid of 200 steps
-    _solve_cloud_or_stop_typed(data, lambda data: 1e-10 * 1.5e10 ** (
-        data.draw(st.integers(0, 200), label="log radius step") / 200))
+    # radius log-uniform in [1e-12, 2.2], on a grid of 200 steps, up to just
+    # below the cut at sqrt(2) pi / 2. The step is drawn down from the top:
+    # hypothesis draws values nearest 0 most often, and below a radius of
+    # about 1e-3 the anchor already meets grad_tol, so a solve stops at
+    # iteration 0
+    _solve_cloud_or_stop_typed(data, lambda data: 1e-12 * 2.2e12 ** (
+        1.0 - data.draw(st.integers(0, 200), label="log radius steps down") / 200))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -460,6 +466,19 @@ def test_gradient_is_mean_of_negative_logs():
         for q in points:
             ref -= (2.0 / len(points)) * log(center, q).matrix
         assert np.linalg.norm(grad.matrix - ref) < 1e-9
+
+
+@pytest.mark.parametrize("n, m, count", [(5, 1, 1000), (6, 2, 500)])
+def test_gradient_at_the_mean_is_tangent_to_rounding(n, m, count):
+    # near the mean the summed log is some 1e-10 while the sum it is taken
+    # from is of the size of N; its part along the point must still be
+    # rounding relative to the log itself, not to the sum
+    points = basis_cloud(n, m, count, 0.5, np.random.default_rng([n, m, count, 5]))
+    problem = KarcherProblem(points)
+    mean, trace = karcher_mean(problem)
+    assert trace.converged
+    grad, proj = karcher_gradient(problem, mean).matrix, mean.matrix
+    assert np.linalg.norm(proj @ grad @ proj) <= 1e-12 * np.linalg.norm(grad)
 
 
 def test_gradient_single_point_scale():
@@ -660,6 +679,49 @@ def test_restart_resets_to_steepest_descent():
                for item in trace.iterates[period::period])
 
 
+def test_restart_reason_names_each_restart(monkeypatch):
+    # a periodic restart, a degenerate conjugate coefficient and a retry from
+    # steepest descent after a failed search each name their reason; restart
+    # is set exactly when there is one, and the new direction is "sd" exactly
+    # for the periodic and fallback ones
+    def check(trace):
+        for item in trace.iterates:
+            assert item.restart == (item.restart_reason != "none")
+            sd = item.restart_reason in ("periodic", "fallback")
+            assert (item.direction_rule == "sd") == sd
+        return [item.restart_reason for item in trace.iterates]
+
+    _, problem = ball_problem(3, 1, 10, 1.0, seed=15)  # the period is 3
+    _, trace = karcher_mean(problem)
+    reasons = check(trace)
+    assert len(reasons) > 6 and reasons[:3] == ["none"] * 3
+    assert [r == "periodic" for r in reasons] == [i > 0 and i % 3 == 0 for i in range(len(reasons))]
+
+    # the second coefficient (iteration 2) degenerates, and the third search
+    # (iteration 3) fails once and is retried from steepest descent
+    coefficient, search, calls = karcher._coefficient, karcher.backtracking_step, []
+
+    def degenerate_once(rule, *args):
+        coeff, fallback = coefficient(rule, *args)
+        calls.append("coefficient")
+        if calls.count("coefficient") == 2:
+            return np.zeros_like(coeff), np.ones_like(fallback)
+        return coeff, fallback
+
+    def fails_once(objective, value0, slope, step):
+        calls.append("search")
+        if calls.count("search") == 3:
+            raise LineSearchFailedError("forced failure")
+        return search(objective, value0, slope, step)
+
+    monkeypatch.setattr(karcher, "_coefficient", degenerate_once)
+    monkeypatch.setattr(karcher, "backtracking_step", fails_once)
+    _, problem = ball_problem(5, 2, 10, 0.5, seed=37)
+    _, trace = karcher_mean(problem)
+    assert trace.converged
+    assert check(trace)[:4] == ["none", "none", "fallback", "forced"]
+
+
 def test_unitary_equivariance_of_the_mean():
     rng = np.random.default_rng(16)
     _, points = random_cloud(5, 2, 6, 0.4, rng)
@@ -723,18 +785,14 @@ def _fallback_problem(case):
 
 
 @pytest.mark.parametrize("case", ["one datum", "m = n", "degenerate gap"])
-def test_fallback_starts_complete_the_first_datum(case, monkeypatch):
+def test_fallback_starts_complete_the_first_datum(case):
+    # without a gapped anchor the solver starts at the first datum's basis
+    # itself, bit for bit
     problem = _fallback_problem(case)
-    completed = []
-
-    def counting(basis):
-        completed.append(np.array(basis))
-        return complete_frame(basis)
-
-    monkeypatch.setattr(karcher, "complete_frame", counting)
-    point, trace = karcher_mean(problem)
-    assert len(completed) == 1
-    assert np.array_equal(completed[0], problem.bases[0])
+    starts = []
+    point, trace = karcher_mean(problem, callback=lambda it, point, *_: starts.append(point))
+    assert starts[0]._basis.tobytes() == problem.bases[0].tobytes()
+    assert karcher._anchor(problem).tobytes() == problem.bases[0].tobytes()
     assert trace.status == "converged"
     assert trace.iterates[0].direction_rule == "init"
     if case == "degenerate gap":
@@ -747,30 +805,55 @@ def test_fallback_starts_complete_the_first_datum(case, monkeypatch):
         assert np.linalg.norm(point.matrix - projector_from_basis(problem.bases[0]).matrix) < 1e-14
 
 
-def test_gapped_start_is_the_anchor_eigenvector_frame(monkeypatch):
+def test_gapped_start_is_the_anchor_eigenvector_frame():
+    # with a gap, the start is the top m eigenvectors of the averaged data
+    # projectors, not the first datum's basis
     _, problem = ball_problem(6, 2, 8, 0.3, seed=32)
-    frame = karcher._anchor_frame(problem)
-    assert np.linalg.norm(frame.conj().T @ frame - np.eye(6)) < 1e-12
-    assert np.array_equal(projector_from_basis(frame[:, :2]).matrix,
-                          default_init(problem).matrix)
-    monkeypatch.setattr(karcher, "complete_frame", None)  # must not be called
-    _, trace = karcher_mean(problem)
+    anchor = karcher._anchor(problem)
+    assert anchor.shape == (6, 2)
+    assert np.linalg.norm(anchor.conj().T @ anchor - np.eye(2)) < 1e-12
+    average = sum(basis @ basis.conj().T for basis in problem.bases) / 8
+    vals, vecs = np.linalg.eigh(average)
+    assert vals[4] - vals[3] > 0.1
+    assert np.linalg.norm(anchor @ anchor.conj().T - vecs[:, 4:] @ vecs[:, 4:].conj().T) < 1e-12
+    assert np.linalg.norm(average @ anchor - anchor * vals[5:3:-1]) < 1e-12
+    assert np.array_equal(projector_from_basis(anchor).matrix, default_init(problem).matrix)
+    starts = []
+    _, trace = karcher_mean(problem, callback=lambda it, point, *_: starts.append(point))
     assert trace.converged
+    assert starts[0]._basis.tobytes() == anchor.tobytes()
     assert trace.iterates[0].cost == pytest.approx(
         karcher_cost(problem, default_init(problem)), rel=1e-12)
+
+
+def test_default_init_of_a_batch_gives_each_problem_its_anchor():
+    # a batched problem gets one anchor point per problem, as karcher_mean
+    # returns one mean per problem, each bit for bit the problem's own anchor
+    rng = np.random.default_rng(43)
+    stack = np.stack([[b.matrix for b in basis_cloud(5, 2, 6, 0.5, rng)] for _ in range(3)])
+    points = default_init(KarcherProblem(_stack=stack))
+    assert len(points) == 3
+    starts = []
+    karcher_mean(KarcherProblem(_stack=stack),
+                 callback=lambda it, points, *_: starts.append(points))
+    for b, point in enumerate(points):
+        alone = default_init(KarcherProblem(_stack=stack[b]))
+        assert np.array_equal(point.matrix, alone.matrix)
+        assert point._basis.tobytes() == alone._basis.tobytes() == starts[0][b]._basis.tobytes()
 
 
 @pytest.mark.parametrize("n, m, count, step_rule", [
     (6, 3, 10, "backtracking"), (8, 1, 50, "newton_cp")])
 def test_frames_stay_unitary_over_long_runs(n, m, count, step_rule):
-    # the callback's points are built from the carried frame without a check,
-    # so rounding drift of the frame would show only here
+    # the callback's points are built from the carried basis without a check,
+    # so rounding drift of the basis would show only here
     _, points = random_cloud(n, m, count, 0.5, np.random.default_rng(35))
     defects = []
 
     def watch(iteration, point, *_):
-        proj = point.matrix
-        defects.append((np.linalg.norm(proj @ proj - proj), abs(np.trace(proj).real - m)))
+        proj, basis = point.matrix, point._basis
+        defects.append((np.linalg.norm(proj @ proj - proj), abs(np.trace(proj).real - m),
+                        np.linalg.norm(basis.conj().T @ basis - np.eye(m))))
 
     config = CGConfig(step_rule=step_rule, grad_tol=1e-300, max_iter=300)
     _, trace = karcher_mean(KarcherProblem(points), config=config, callback=watch)
@@ -988,9 +1071,9 @@ def test_one_failed_line_search_restarts_and_the_solve_converges(monkeypatch):
 
 def test_projector_data_take_one_batched_eigh(monkeypatch):
     # points built by the package contribute the basis they keep, bit for bit;
-    # projectors the caller built take the ones _frame gives, bit for bit, from
-    # one eigh over all of them, and keep them; a rank-deficient projector is
-    # still rejected
+    # projectors the caller built take their top eigenvectors, bit for bit
+    # with an eigh of each alone, from one eigh over all of them, and keep
+    # them; a rank-deficient projector is still rejected
     _, points = random_cloud(6, 2, 30, 0.5, np.random.default_rng(35))
     bare = tuple(GrassmannPoint(point.matrix) for point in points[::2])
     eighs, eigh = [], np.linalg.eigh
@@ -1001,7 +1084,7 @@ def test_projector_data_take_one_batched_eigh(monkeypatch):
     for point, basis in zip(points, bases[:30]):
         assert basis.tobytes() == point._basis.tobytes()
     for point, basis in zip(bare, bases[30:]):
-        assert basis.tobytes() == karcher._frame(point.matrix, 2)[:, :2].tobytes()
+        assert basis.tobytes() == eigh(point.matrix)[1][:, ::-1][:, :2].tobytes()
         assert point._basis.tobytes() == basis.tobytes() and not point._basis.flags.writeable
     assert np.array_equal(again, bases[30:])
     broken = object.__new__(GrassmannPoint)

@@ -395,7 +395,7 @@ def _trial_estimates(cfg: MixingExperiment, rng):
 
 def _run_trial(cfg: MixingExperiment, rng):
     mixing, estimates = _trial_estimates(cfg, rng)
-    aligned = align_columns(EstimateSet(estimates))
+    aligned = align_columns(_trusted(EstimateSet, matrices=estimates))
     means = average_karcher(aligned)
     karcher_est = np.array(_bases(means))[..., 0].T
     euclid_est = average_euclid(aligned)

@@ -117,7 +117,8 @@ class StiefelBasis:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class TangentVector:
-    """Tangent vector at a point: Hermitian H with [P, [P, H]] = H.
+    """Tangent vector at a point: Hermitian H with [P, [P, H]] = X D^H + D X^H = H,
+    checked on the point's kept basis X; the package builds its own unchecked.
 
     Supports the vector-space operations (+, -, real scalar *) among vectors
     anchored at the same base point.
@@ -128,11 +129,11 @@ class TangentVector:
 
     def __post_init__(self):
         mat = linalg.require_hermitian(self.matrix, "tangent vector")
-        if mat.shape[0] != self.base.dim:
+        (basis,) = _bases([self.base])
+        if mat.shape[0] != len(basis):
             raise InvalidInputError(
-                f"tangent shape {mat.shape} does not match base dimension {self.base.dim}")
-        proj = self.base.matrix
-        defect = np.linalg.norm(commutator(proj, commutator(proj, mat)) - mat)
+                f"tangent shape {mat.shape} does not match base dimension {len(basis)}")
+        defect = np.linalg.norm(mat - _lift(basis, _horizontal(mat, basis)))
         if defect >= TANGENT_TOL * max(1.0, np.linalg.norm(mat)):
             raise InvalidInputError(f"matrix is not tangent at the base point (defect {defect:.3e})")
         mat.setflags(write=False)
@@ -143,7 +144,7 @@ class TangentVector:
         return float(np.linalg.norm(self.matrix))
 
     def __neg__(self):
-        return TangentVector(self.base, -self.matrix)
+        return _trusted(TangentVector, base=self.base, matrix=-self.matrix)
 
     def __add__(self, other):
         require_anchored(other, self.base)
@@ -168,6 +169,7 @@ def require_anchored(vector: TangentVector, point: GrassmannPoint) -> None:
     """Reject ``vector`` unless its base is ``point`` to within BASE_MATCH_TOL."""
     if vector.base is point:
         return
+    _require_points([point])
     if vector.base.dim != point.dim or vector.base.rank != point.rank:
         raise InvalidInputError("tangent vector lives on a different Grassmannian")
     gap = np.linalg.norm(vector.base.matrix - point.matrix)
@@ -175,7 +177,15 @@ def require_anchored(vector: TangentVector, point: GrassmannPoint) -> None:
         raise InvalidInputError(f"tangent vector is not anchored at the point (gap {gap:.3e})")
 
 
+def _require_points(points) -> None:
+    """Reject anything among ``points`` but a GrassmannPoint, naming its type."""
+    for kind in set(map(type, points)):
+        if not issubclass(kind, GrassmannPoint):
+            raise InvalidInputError(f"expected a GrassmannPoint, got {kind.__name__}")
+
+
 def _require_same_space(first: GrassmannPoint, second: GrassmannPoint) -> None:
+    _require_points([first, second])
     if first.dim != second.dim or first.rank != second.rank:
         raise InvalidInputError(
             f"points live on different Grassmannians: (n={first.dim}, m={first.rank}) "
@@ -218,8 +228,9 @@ def _bases(points) -> list:
 
     Points without one, projectors the caller built, get their top m
     eigenvectors, in descending order, from one batched ``eigh``, and keep
-    them; a projector with fewer than m eigenvalues near 1 is rejected.
+    them. A projector with fewer than m eigenvalues near 1 is rejected, as is a non-point.
     """
+    _require_points(points)
     bare = [point for point in points if point._basis is None]
     if bare:  # two threads that fill one point at once compute the same bits
         m = bare[0].rank
@@ -250,13 +261,13 @@ def complete_frame(basis) -> np.ndarray:
 
 
 def tangent_project(point: GrassmannPoint, value) -> TangentVector:
-    """Project a Hermitian matrix onto the tangent space: [P, [P, X]]."""
+    """Project a Hermitian matrix H onto the tangent space: [P, [P, H]]."""
     mat = linalg.require_hermitian(value, "matrix")
-    if mat.shape[0] != point.dim:
+    (basis,) = _bases([point])
+    if mat.shape[0] != len(basis):
         raise InvalidInputError(
-            f"matrix shape {mat.shape} does not match dimension {point.dim}")
-    proj = point.matrix
-    return TangentVector(point, commutator(proj, commutator(proj, mat)))
+            f"matrix shape {mat.shape} does not match dimension {len(basis)}")
+    return _trusted(TangentVector, base=point, matrix=_lift(basis, _horizontal(mat, basis)))
 
 
 def metric(first: TangentVector, second: TangentVector) -> float:
@@ -266,13 +277,14 @@ def metric(first: TangentVector, second: TangentVector) -> float:
 
 
 def zero_tangent(point: GrassmannPoint) -> TangentVector:
-    return TangentVector(point, np.zeros((point.dim, point.dim), dtype=complex))
+    _require_points([point])
+    return _trusted(TangentVector, base=point, matrix=np.zeros((point.dim,) * 2, dtype=complex))
 
 
-def _horizontal(vector: TangentVector, basis: np.ndarray) -> np.ndarray:
-    """The horizontal D = H X - X X^H H X of a tangent H at span X = span ``basis``: a
-    checked tangent may keep a part along X up to TANGENT_TOL, which must move nothing."""
-    tangent = vector.matrix @ basis
+def _horizontal(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The horizontal D = H X - X X^H H X of a Hermitian H at span X = span ``basis``: a
+    tangent part X D^H + D X^H is [P, [P, H]], and a vertical part must move nothing."""
+    tangent = matrix @ basis
     return tangent - basis @ (basis.conj().T @ tangent)
 
 
@@ -293,6 +305,9 @@ def _geodesic(basis: np.ndarray, tangent: np.ndarray):
     axes are a batch, and t is a scalar or one value per batch entry.
     """
     u, sigma, vh = np.linalg.svd(tangent, full_matrices=False)
+    # D has rank <= n - m, and U's columns past that need not be horizontal:
+    # their singular values are set to the exact zeros they are, so they move nothing
+    sigma[..., basis.shape[-2] - basis.shape[-1]:] = 0.0
     xv, uh = basis @ vh.conj().swapaxes(-1, -2), u.conj().swapaxes(-1, -2)
 
     def at(t):
@@ -310,7 +325,7 @@ def _flow(point: GrassmannPoint, velocity: TangentVector, t: float):
     if isinstance(t, bool) or not isinstance(t, Real) or not -np.inf < t < np.inf:
         raise InvalidInputError(f"geodesic parameter must be a finite real number, got {t!r}")
     basis = _bases([point])[0]
-    return basis, *_geodesic(basis, _horizontal(velocity, basis))(float(t))
+    return basis, *_geodesic(basis, _horizontal(velocity.matrix, basis))(float(t))
 
 
 def geodesic(point: GrassmannPoint, velocity: TangentVector, t: float) -> GrassmannPoint:
@@ -331,7 +346,8 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     the geodesic point at parameter t. Transport is a metric isometry.
     """
     basis, moved, carry = _flow(vector.base, velocity, t)
-    return TangentVector(_point(moved), _lift(moved, carry(_horizontal(vector, basis))))
+    return _trusted(TangentVector, base=_point(moved),
+                    matrix=_lift(moved, carry(_horizontal(vector.matrix, basis))))
 
 
 def _overlap_svd(square: np.ndarray):
@@ -409,4 +425,4 @@ def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     _, tangent, cut, _ = _principal_angles(basis, other.conj().T)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return TangentVector(point, _lift(basis, tangent))
+    return _trusted(TangentVector, base=point, matrix=_lift(basis, tangent))

@@ -162,9 +162,10 @@ def _stack_of(data: tuple) -> np.ndarray:
 
 
 def _basis_of(problem: KarcherProblem, point: GrassmannPoint) -> np.ndarray:
-    if point.dim != problem.dim or point.rank != problem.rank:
+    (basis,) = _bases([point])
+    if basis.shape != (problem.dim, problem.rank):
         raise InvalidInputError("point does not live on the problem's Grassmannian")
-    return _bases([point])[0]
+    return basis
 
 
 def _adjoint(bases: np.ndarray) -> np.ndarray:
@@ -197,19 +198,19 @@ def _evaluate(adjoint: np.ndarray, basis: np.ndarray):
 
 
 def _at(problem: KarcherProblem, point: GrassmannPoint) -> tuple:
-    """The kept basis of ``point`` and its ``_evaluate``, less the cut index;
-    CutLocusError (with the datum index) if ``point`` is at the cut locus of a datum."""
-    basis = _basis_of(problem, point)
-    angles, cost, residual, cut, factors = _evaluate(_adjoint(problem.bases), basis)
+    """The kept basis of ``point``, the data's ``_adjoint`` and their ``_evaluate``, less the
+    cut index; CutLocusError (with the datum index) if ``point`` is at a datum's cut locus."""
+    basis, adjoint = _basis_of(problem, point), _adjoint(problem.bases)
+    angles, cost, residual, cut, factors = _evaluate(adjoint, basis)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return basis, angles, cost, residual, factors
+    return basis, adjoint, angles, cost, residual, factors
 
 
 def karcher_cost(problem: KarcherProblem, point: GrassmannPoint) -> float:
     """Mean squared geodesic distance from ``point`` to the problem data; CutLocusError
     (with the datum index) if ``point`` is at the cut locus of a datum."""
-    return float(_at(problem, point)[2])
+    return float(_at(problem, point)[3])
 
 
 def _move(path, steps, adjoint: np.ndarray) -> tuple:
@@ -226,8 +227,8 @@ def _move(path, steps, adjoint: np.ndarray) -> tuple:
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
-    basis, _, _, residual, _ = _at(problem, point)
-    return TangentVector(point, _lift(basis, (2.0 / problem.size) * residual))
+    basis, _, _, _, residual, _ = _at(problem, point)
+    return _trusted(TangentVector, base=point, matrix=_lift(basis, (2.0 / problem.size) * residual))
 
 
 def backtracking_step(objective, value0: float, slope: float, step: float) -> float:
@@ -313,10 +314,10 @@ def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
                    direction: TangentVector) -> float:
     """Newton step size along ``direction``; CutLocusError as ``karcher_cost``."""
     require_anchored(direction, point)
-    basis, angles, _, grad, factors = _at(problem, point)
-    tangent = _horizontal(direction, basis)
+    basis, adjoint, angles, _, grad, factors = _at(problem, point)
+    tangent = _horizontal(direction.matrix, basis)
     slope = (2.0 / problem.size) * _metric(grad, tangent)
-    step, (error,) = _newton_step(factors, _adjoint(problem.bases), tangent, angles, slope)
+    step, (error,) = _newton_step(factors, adjoint, tangent, angles, slope)
     if error is not None:
         raise error
     return float(step)

@@ -660,10 +660,12 @@ def test_align_columns_matches_the_greedy_loop(data):
 
 
 def test_trial_checks_its_estimate_columns_once(monkeypatch):
-    # the trial's EstimateSet checks the columns; aligning them and averaging
-    # them reads that checked stack without another orthonormality test
-    calls = []
-    original = blindid._stiefel_defects
+    # the SUT normalizes its estimates' columns itself, so the trial builds
+    # its EstimateSet trusted, and aligning and averaging read that stack:
+    # no orthonormality test runs in the trial. The one check is here: the
+    # stack the trial aligned passes the public EstimateSet check unchanged
+    calls, aligned = [], []
+    original, align = blindid._stiefel_defects, blindid.align_columns
 
     def counted(stack):
         calls.append(stack.shape)
@@ -671,10 +673,16 @@ def test_trial_checks_its_estimate_columns_once(monkeypatch):
 
     monkeypatch.setattr(blindid, "_stiefel_defects", counted)
     monkeypatch.setattr(grassmann, "_stiefel_defects", counted)
+    monkeypatch.setattr(blindid, "align_columns", lambda s: aligned.append(s) or align(s))
     cfg = MixingExperiment(n=4, n_estimations=5, trials=1, samples_per_trial=500)
     (row,) = run_experiment(cfg, "noise_level", [0.5])
     assert row.status == "ok"
+    assert calls == []
+    (estimates,) = aligned
+    assert not estimates.matrices.flags.writeable
+    checked = EstimateSet(estimates.matrices)
     assert calls == [(5, 4, 4, 1)]
+    assert checked.matrices.tobytes() == estimates.matrices.tobytes()
 
 
 def test_average_karcher_solves_every_column_in_one_call(monkeypatch):

@@ -7,9 +7,12 @@ from conftest import random_point, random_tangent, random_unitary
 from grassmean.exceptions import CutLocusError, InvalidInputError
 from grassmean.grassmann import (
     STIEFEL_TOL,
+    TANGENT_TOL,
     GrassmannPoint,
     StiefelBasis,
     TangentVector,
+    _horizontal,
+    _lift,
     basis_from_projector,
     commutator,
     complete_frame,
@@ -24,7 +27,13 @@ from grassmean.grassmann import (
     tangent_project,
     zero_tangent,
 )
-from grassmean.karcher import KarcherProblem, karcher_cost, newton_step_cp
+from grassmean.karcher import (
+    KarcherProblem,
+    karcher_cost,
+    karcher_gradient,
+    karcher_mean,
+    newton_step_cp,
+)
 
 
 def test_point_validation():
@@ -390,3 +399,123 @@ def test_a_tolerated_vertical_part_moves_nothing():
     cloud = KarcherProblem([exp(point, random_tangent(point, rng, 0.4)) for _ in range(6)])
     mixed = newton_step_cp(cloud, point, TangentVector(point, horizontal.matrix + vertical))
     assert abs(mixed - newton_step_cp(cloud, point, horizontal)) <= 1e-13 * mixed
+
+
+def test_thin_tangent_defect_matches_the_commutator_form():
+    # a caller's H is checked as |H - (X D^H + D X^H)|, D = H X - X X^H H X,
+    # on the point's kept basis X. For built and bare points at every rank
+    # that agrees with the projector form |[P, [P, H]] - H| to
+    # 1e-12 max(1, |H|), and accept and reject agree with the projector form
+    # outside that band, also for H whose part off the tangent space is
+    # 0.5, 0.97, 1.03 or 2 times TANGENT_TOL max(1, |H|)
+    rng = np.random.default_rng(43)
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            built = projector_from_basis(random_unitary(n, rng)[:, :m])
+            for point in (built, GrassmannPoint(built.matrix)):
+                proj, basis = point.matrix, basis_from_projector(point).matrix
+                z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                herm = 10.0 ** rng.uniform(-2, 2) * (z + z.conj().T)
+                tangent = commutator(proj, commutator(proj, herm))
+                normal = herm - tangent
+                cases = [herm] + [
+                    tangent + normal * (f * TANGENT_TOL * max(1.0, np.linalg.norm(tangent))
+                                        / np.linalg.norm(normal)) for f in (0.5, 0.97, 1.03, 2.0)]
+                for value in cases:
+                    size = max(1.0, np.linalg.norm(value))
+                    oracle = np.linalg.norm(commutator(proj, commutator(proj, value)) - value)
+                    thin = np.linalg.norm(value - _lift(basis, _horizontal(value, basis)))
+                    assert abs(thin - oracle) <= 1e-12 * size, (n, m)
+                    if abs(oracle - TANGENT_TOL * size) <= 1e-12 * size:
+                        continue
+                    try:
+                        TangentVector(point, value)
+                        accepted = True
+                    except InvalidInputError:
+                        accepted = False
+                    assert accepted == (oracle < TANGENT_TOL * size), (n, m, oracle / size)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_tangents_the_package_builds_pass_the_public_check(data):
+    # log, karcher_gradient, parallel_transport (far along t as well),
+    # tangent_project, zero_tangent and negation build their tangents
+    # unchecked; each passes TangentVector's check and keeps its values there.
+    # Every rank is drawn, m = n included, at built and bare points
+    n = data.draw(st.integers(2, 8), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    point = projector_from_basis(random_unitary(n, rng)[:, :m])
+    if data.draw(st.booleans(), label="bare"):
+        point = GrassmannPoint(point.matrix)
+    # at m = n the one point is its own neighbourhood
+    others = [exp(point, random_tangent(point, rng, 0.6)) if m < n else point for _ in range(3)]
+    velocity = log(point, others[0])
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    built = [velocity, karcher_gradient(KarcherProblem(others), point),
+             tangent_project(point, z + z.conj().T), zero_tangent(point), -velocity]
+    moved = tangent_project(point, z + z.conj().T)
+    carried = [parallel_transport(moved, velocity, t) for t in (0.5, 3.0, 1e3, 1.5e10)]
+    for vector in carried:
+        # past rank n - m the velocity's singular values are exact zeros, so
+        # far along t the moved basis stays orthonormal at 2m > n as well
+        basis = vector.base._basis
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(m)) <= 1e-13
+    for vector in built + carried:
+        checked = TangentVector(vector.base, vector.matrix)
+        assert np.array_equal(checked.matrix, vector.matrix)
+        assert not vector.matrix.flags.writeable
+
+
+def test_no_operation_on_a_built_point_reads_its_projector():
+    # a built point's geometry runs on the basis it keeps: with its projector
+    # entries overwritten by NaN, every public operation on it stays finite
+    rng = np.random.default_rng(47)
+    center = projector_from_basis(random_unitary(6, rng)[:, :2])
+    others = [exp(center, random_tangent(center, rng, 0.5)) for _ in range(5)]
+    point = exp(center, random_tangent(center, rng, 0.2))
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    caller = tangent_project(point, z + z.conj().T).matrix
+    object.__setattr__(point, "matrix", np.full((6, 6), np.nan, dtype=complex))
+    velocity = TangentVector(point, 0.3 * caller / np.linalg.norm(caller))
+    problem = KarcherProblem(others)
+    readings = [log(point, others[0]).matrix, exp(point, velocity).matrix,
+                parallel_transport(velocity, velocity, 0.7).matrix,
+                tangent_project(point, z + z.conj().T).matrix,
+                karcher_gradient(problem, point).matrix, newton_step_cp(problem, point, velocity),
+                dist(point, others[1]), karcher_cost(problem, point)]
+    for reading in readings:
+        assert np.all(np.isfinite(reading))
+
+
+_NON_POINT_CALLS = {
+    "karcher_mean": lambda bad, point, velocity, problem: karcher_mean(problem, init=bad),
+    "karcher_cost": lambda bad, point, velocity, problem: karcher_cost(problem, bad),
+    "karcher_gradient": lambda bad, point, velocity, problem: karcher_gradient(problem, bad),
+    "log": lambda bad, point, velocity, problem: log(bad, point),
+    "log_target": lambda bad, point, velocity, problem: log(point, bad),
+    "dist": lambda bad, point, velocity, problem: dist(point, bad),
+    "principal_angles": lambda bad, point, velocity, problem: principal_angles(bad, point),
+    "basis_from_projector": lambda bad, point, velocity, problem: basis_from_projector(bad),
+    "exp": lambda bad, point, velocity, problem: exp(bad, velocity),
+    "geodesic": lambda bad, point, velocity, problem: geodesic(bad, velocity, 0.5),
+    "newton_step_cp": lambda bad, point, velocity, problem: newton_step_cp(problem, bad, velocity),
+    "tangent_project": lambda bad, point, velocity, problem: tangent_project(bad, velocity.matrix),
+    "TangentVector": lambda bad, point, velocity, problem: TangentVector(bad, velocity.matrix),
+    "zero_tangent": lambda bad, point, velocity, problem: zero_tangent(bad),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_POINT_CALLS))
+def test_a_non_point_is_rejected_naming_its_type(call):
+    # every public call that reads a point's basis rejects a StiefelBasis,
+    # the other public point type, or a bare array with InvalidInputError
+    rng = np.random.default_rng(53)
+    point = projector_from_basis(random_unitary(5, rng)[:, :2])
+    velocity = random_tangent(point, rng, 0.3)
+    problem = KarcherProblem([exp(point, random_tangent(point, rng, 0.4)) for _ in range(4)])
+    for bad in (basis_from_projector(point), point.matrix):
+        with pytest.raises(InvalidInputError,
+                           match=f"expected a GrassmannPoint, got {type(bad).__name__}"):
+            _NON_POINT_CALLS[call](bad, point, velocity, problem)

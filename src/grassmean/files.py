@@ -9,15 +9,21 @@ importing the package does not load them.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 import numpy as np
 
+from . import linalg
 from .exceptions import InvalidInputError
-from .grassmann import StiefelBasis, _stiefel_defects, _trusted
+from .grassmann import StiefelBasis, _stiefel_defects, _trusted_views
 
 FORMAT_VERSION = "1"
 KEEP_RAW_TOL = 1e-10
 POLISH_TOL = 1e-8
-_NUMBER = (int, float)  # the JSON number types; bool is excluded
+_NUMBER = {int, float}  # the JSON number types; bool is excluded
+_PARTS = itemgetter("re", "im")
+_INT_LIMIT = 2 ** 1024 - 2 ** 970  # the least integer a double cannot round to
 
 
 class SubspaceFileError(InvalidInputError):
@@ -36,16 +42,16 @@ def write_subspace_file(path, bases) -> None:
     """
     import json
 
-    mats = [b.matrix if isinstance(b, StiefelBasis) else np.asarray(b, dtype=complex)
-            for b in bases]
-    if not mats:
-        raise InvalidInputError("need at least one basis to write")
-    for b, mat in enumerate(mats):
-        if mat.shape != mats[0].shape or mat.ndim != 2 or not 1 <= mat.shape[1] <= mat.shape[0]:
+    mats = []
+    for b, basis in enumerate(bases):
+        mat = linalg.as_matrix(basis.matrix if isinstance(basis, StiefelBasis) else basis,
+                               f"bases[{b}]")
+        if mats and mat.shape != mats[0].shape or not 1 <= mat.shape[1] <= mat.shape[0]:
             raise InvalidInputError(f"bases[{b}] has shape {mat.shape}; all bases must "
                                     "share one tall n x m shape")
-        if not np.isfinite(mat).all():
-            raise InvalidInputError(f"bases[{b}] contains non-finite entries")
+        mats.append(mat)
+    if not mats:
+        raise InvalidInputError("need at least one basis to write")
     n, m = mats[0].shape
     payload = {
         "version": FORMAT_VERSION,
@@ -67,15 +73,43 @@ def _require_int(payload: dict, key: str) -> int:
         raise SubspaceFileError(f"field {key!r} must be an integer, got {value!r}")
     return value
 
-def _reject_entry(raw, where: str) -> None:
-    """Raise the error for an entry that is not an object of two JSON numbers."""
-    if type(raw) is not dict:
-        raise SubspaceFileError(f"{where} must be an object with 're' and 'im'")
-    for part in ("re", "im"):
-        if part not in raw:
-            raise SubspaceFileError(f"{where}.{part} is missing")
-        if type(raw[part]) not in _NUMBER:
-            raise SubspaceFileError(f"{where}.{part} must be a number, got {raw[part]!r}")
+
+def _entry_parts(raw_bases: list, n: int, m: int):
+    """The re and im of every entry in file order, or None on a structure fault. Each
+    check is one pass over a whole level (bases, rows, entries, numbers), run in C."""
+    if set(map(type, raw_bases)) != {list} or set(map(len, raw_bases)) != {n}:
+        return None
+    rows = list(chain.from_iterable(raw_bases))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {m}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {dict}:
+        return None
+    try:
+        parts = list(chain.from_iterable(map(_PARTS, cells)))
+    except KeyError:
+        return None
+    return parts if set(map(type, parts)) <= _NUMBER else None
+
+
+def _locate_fault(raw_bases: list, n: int, m: int) -> None:
+    """Raise the error for the first structure fault in file order, once a pass found one."""
+    for b, raw_mat in enumerate(raw_bases):
+        if not isinstance(raw_mat, list) or len(raw_mat) != n:
+            raise SubspaceFileError(f"bases[{b}] must be a list of {n} rows")
+        for r, raw_row in enumerate(raw_mat):
+            if not isinstance(raw_row, list) or len(raw_row) != m:
+                raise SubspaceFileError(f"bases[{b}][{r}] must be a list of {m} entries")
+            for c, raw in enumerate(raw_row):
+                where = f"bases[{b}][{r}][{c}]"
+                if type(raw) is not dict:
+                    raise SubspaceFileError(f"{where} must be an object with 're' and 'im'")
+                for part in ("re", "im"):
+                    if part not in raw:
+                        raise SubspaceFileError(f"{where}.{part} is missing")
+                    if type(raw[part]) not in _NUMBER:
+                        raise SubspaceFileError(
+                            f"{where}.{part} must be a number, got {raw[part]!r}")
 
 
 def _polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -87,8 +121,9 @@ def read_subspace_file(path, repair: bool = False) -> list:
     """Read a subspace file back into a list of StiefelBasis objects.
 
     Bases with a defect in [KEEP_RAW_TOL, POLISH_TOL], or above it with ``repair``, get their
-    polar factor. Errors go by kind (structure, non-finite, defect) and name the lowest basis.
-    The bases are read-only views of the one checked stack and are not checked again.
+    polar factor. Errors go by kind (structure, an integer beyond the doubles, non-finite,
+    defect) and name the lowest basis, or the first entry in file order. The bases are
+    read-only views of the one checked stack and are not checked again.
     """
     import json
 
@@ -99,6 +134,8 @@ def read_subspace_file(path, repair: bool = False) -> list:
             raise SubspaceFileError(
                 f"not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
             ) from err
+        except ValueError as err:  # undecodable text, or an integer of too many digits
+            raise SubspaceFileError(f"not valid JSON: {err}") from err
     if not isinstance(payload, dict):
         raise SubspaceFileError("top-level value must be an object")
     version = payload.get("version")
@@ -116,19 +153,17 @@ def read_subspace_file(path, repair: bool = False) -> list:
         raise SubspaceFileError("field 'bases' must be a list")
     if len(raw_bases) != count:
         raise SubspaceFileError(f"count says {count} bases, found {len(raw_bases)}")
-    parts = []  # re, im of every entry in file order
-    for b, raw_mat in enumerate(raw_bases):
-        if not isinstance(raw_mat, list) or len(raw_mat) != n:
-            raise SubspaceFileError(f"bases[{b}] must be a list of {n} rows")
-        for r, raw_row in enumerate(raw_mat):
-            if not isinstance(raw_row, list) or len(raw_row) != m:
-                raise SubspaceFileError(f"bases[{b}][{r}] must be a list of {m} entries")
-            for c, raw in enumerate(raw_row):
-                if (type(raw) is not dict or type(raw.get("re")) not in _NUMBER
-                        or type(raw.get("im")) not in _NUMBER):
-                    _reject_entry(raw, f"bases[{b}][{r}][{c}]")
-                parts += raw["re"], raw["im"]
-    stack = np.array(parts, dtype=float).view(complex).reshape(count, n, m)
+    parts = _entry_parts(raw_bases, n, m)
+    if parts is None:
+        _locate_fault(raw_bases, n, m)
+    try:
+        stack = np.array(parts, dtype=float).view(complex).reshape(count, n, m)
+    except OverflowError:  # an integer beyond the doubles: the first in file order is named
+        index = next(i for i, value in enumerate(parts)
+                     if type(value) is int and abs(value) >= _INT_LIMIT)
+        b, r, c = np.unravel_index(index // 2, (count, n, m))
+        raise SubspaceFileError(f"bases[{b}][{r}][{c}].{('re', 'im')[index % 2]} "
+                                "is too large for a double") from None
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
     if bad.size:
         raise SubspaceFileError(f"bases[{bad[0]}] contains non-finite entries")
@@ -140,8 +175,7 @@ def read_subspace_file(path, repair: bool = False) -> list:
         if np.linalg.matrix_rank(stack[b]) < m:
             raise SubspaceFileError(f"bases[{b}] is rank deficient; cannot repair")
         stack[b] = _polar_orthonormalize(stack[b])
-    stack.setflags(write=False)
-    return [_trusted(StiefelBasis, matrix=mat) for mat in stack]
+    return _trusted_views(StiefelBasis, "matrix", stack)
 
 
 def _cell(value) -> str:

@@ -16,6 +16,7 @@ projector given by the caller, its top eigenvectors, found once on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -82,7 +83,8 @@ def _stiefel_defects(stack: np.ndarray) -> np.ndarray:
     m = stack.shape[-1]
     gram = (stack.conj().swapaxes(-1, -2) @ stack).reshape(*stack.shape[:-2], m * m)
     gram[..., ::m + 1] -= 1.0  # the diagonal
-    return np.sqrt(np.vecdot(gram, gram).real)
+    defects = np.sqrt(np.vecdot(gram, gram).real)
+    return np.where(np.isnan(defects), np.inf, defects)  # finite entries whose products overflow
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -166,7 +168,8 @@ class TangentVector:
 
 
 def require_anchored(vector: TangentVector, point: GrassmannPoint) -> None:
-    """Reject ``vector`` unless its base is ``point`` to within BASE_MATCH_TOL."""
+    """Reject anything but a tangent whose base is ``point`` to within BASE_MATCH_TOL."""
+    _require_tangent(vector)
     if vector.base is point:
         return
     _require_points([point])
@@ -182,6 +185,11 @@ def _require_points(points) -> None:
     for kind in set(map(type, points)):
         if not issubclass(kind, GrassmannPoint):
             raise InvalidInputError(f"expected a GrassmannPoint, got {kind.__name__}")
+
+
+def _require_tangent(vector) -> None:
+    if not isinstance(vector, TangentVector):
+        raise InvalidInputError(f"expected a TangentVector, got {type(vector).__name__}")
 
 
 def _require_same_space(first: GrassmannPoint, second: GrassmannPoint) -> None:
@@ -207,11 +215,20 @@ def _trusted(cls, **fields):
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
-        # views of a read-only stack, as the file reader hands out, are read-only already
+        # an array that is read-only already, such as a point's kept basis, is left as it is
         if isinstance(value, np.ndarray) and value.flags.writeable:
             value.flags.writeable = False
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _trusted_views(cls, name: str, stack: np.ndarray) -> list:
+    """``_trusted(cls, name=view)`` for each view along the first axis of ``stack``,
+    in two passes that run in C; the stack is made read-only, and so are its views."""
+    stack.flags.writeable = False
+    objs = list(map(object.__new__, repeat(cls, len(stack))))
+    list(map(object.__setattr__, objs, repeat(name), stack))
+    return objs
 
 
 def _point(basis: np.ndarray) -> GrassmannPoint:
@@ -272,6 +289,7 @@ def tangent_project(point: GrassmannPoint, value) -> TangentVector:
 
 def metric(first: TangentVector, second: TangentVector) -> float:
     """Riemannian inner product tr(H1 H2); real for Hermitian arguments."""
+    _require_tangent(first)
     require_anchored(second, first.base)
     return float(np.einsum("ij,ji->", first.matrix, second.matrix).real)
 
@@ -345,6 +363,7 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     Both inputs must be anchored at the same point; the result is anchored at
     the geodesic point at parameter t. Transport is a metric isometry.
     """
+    _require_tangent(vector)
     basis, moved, carry = _flow(vector.base, velocity, t)
     return _trusted(TangentVector, base=_point(moved),
                     matrix=_lift(moved, carry(_horizontal(vector.matrix, basis))))

@@ -133,7 +133,8 @@ class KarcherProblem:
     """A fixed collection of subspaces to be averaged, as one (N, n, m) stack.
 
     ``data`` holds StiefelBasis or GrassmannPoint elements of one (n, m), each
-    validated when it was built. Types and shapes are checked as sets, and a
+    validated when it was built. Types are checked as a set, the points' (n, m)
+    before their bases are taken, and all shapes by building the one stack. A
     point contributes the basis it keeps; points without one, projectors the
     caller built, are reduced by one batched ``eigh`` (see ``_bases``).
     ``_stack`` is an already-checked stack instead: (N, n, m), or (B, N, n, m)
@@ -152,11 +153,15 @@ def _stack_of(data: tuple) -> np.ndarray:
         stray = next(item for item in data if not isinstance(item, _DATA_TYPES))
         raise InvalidInputError(
             f"problem data must be StiefelBasis or GrassmannPoint, got {type(stray).__name__}")
-    if len({(item.dim, item.rank) for item in data}) > 1:
+    points = [item for item in data if isinstance(item, GrassmannPoint)]
+    if len({(point.dim, point.rank) for point in points}) > 1:  # before _bases reads m
         raise InvalidInputError("points live on different Grassmannians")
-    kept = iter(_bases([item for item in data if isinstance(item, GrassmannPoint)]))
-    stack = np.array([next(kept) if isinstance(item, GrassmannPoint) else item.matrix
-                      for item in data])
+    kept = iter(_bases(points))
+    try:  # the shapes are checked by stacking them
+        stack = np.array([next(kept) if isinstance(item, GrassmannPoint) else item.matrix
+                          for item in data])
+    except ValueError:
+        raise InvalidInputError("points live on different Grassmannians") from None
     stack.setflags(write=False)
     return stack
 

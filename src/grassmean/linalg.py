@@ -17,7 +17,10 @@ HERMITIAN_TOL = 1e-12
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex ndarray, rejecting NaN/Inf entries."""
-    mat = np.asarray(value, dtype=complex)
+    try:
+        mat = np.asarray(value, dtype=complex)
+    except (OverflowError, TypeError, ValueError) as err:  # e.g. 10**400, "abc", {}, ragged
+        raise InvalidInputError(f"{name} is not an array of complex numbers ({err})") from None
     if mat.ndim != 2:
         raise InvalidInputError(f"{name} must be two-dimensional, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):

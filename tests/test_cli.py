@@ -37,6 +37,16 @@ def test_version_and_usage_exit_codes(capsys):
     assert main(["karcher-mean", "x.json", "--out", "y.json", "--rule", "bogus"]) == 1
 
 
+def test_an_entry_beyond_the_doubles_is_a_usage_error(tmp_path, capsys):
+    path = cp1_file(tmp_path, 0.3)
+    path.write_text(path.read_text().replace('"re": 1.0', '"re": 1' + "0" * 400, 1))
+    out = tmp_path / "mean.json"
+    assert main(["karcher-mean", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bases[0][0][0].re is too large for a double\n")
+    assert not out.exists()
+
+
 def test_missing_input_reports_usage_error(tmp_path, capsys):
     out = tmp_path / "mean.json"
     code = main(["karcher-mean", str(tmp_path / "nope.json"), "--out", str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tempfile
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassmean import files
 from grassmean.blindid import TrialResult
 from grassmean.exceptions import InvalidInputError
 from grassmean.files import (
+    KEEP_RAW_TOL,
     POLISH_TOL,
     SubspaceFileError,
     read_subspace_file,
@@ -362,3 +365,217 @@ def test_trace_csv_layout(tmp_path):
     assert lines[0] == "iteration,cost,gradnorm,stepsize"
     assert lines[1] == "0,1.5,0.25,0.0"
     assert lines[2] == "1,0.5,1e-09,0.125"
+
+
+_REFERENCE_NUMBER = (int, float)
+
+
+def reference_stack(raw_bases, n, m):
+    """The reader's former per-entry loop, kept as the oracle of its passes.
+
+    Past the loop it names the first integer beyond the doubles, in file
+    order, where the loop's ``np.array`` raised an untyped OverflowError, and
+    then the lowest non-finite basis, as the reader does.
+    """
+    parts = []  # re, im of every entry in file order
+    for b, raw_mat in enumerate(raw_bases):
+        if not isinstance(raw_mat, list) or len(raw_mat) != n:
+            raise SubspaceFileError(f"bases[{b}] must be a list of {n} rows")
+        for r, raw_row in enumerate(raw_mat):
+            if not isinstance(raw_row, list) or len(raw_row) != m:
+                raise SubspaceFileError(f"bases[{b}][{r}] must be a list of {m} entries")
+            for c, raw in enumerate(raw_row):
+                where = f"bases[{b}][{r}][{c}]"
+                if (type(raw) is not dict or type(raw.get("re")) not in _REFERENCE_NUMBER
+                        or type(raw.get("im")) not in _REFERENCE_NUMBER):
+                    if type(raw) is not dict:
+                        raise SubspaceFileError(f"{where} must be an object with 're' and 'im'")
+                    for part in ("re", "im"):
+                        if part not in raw:
+                            raise SubspaceFileError(f"{where}.{part} is missing")
+                        if type(raw[part]) not in _REFERENCE_NUMBER:
+                            raise SubspaceFileError(
+                                f"{where}.{part} must be a number, got {raw[part]!r}")
+                parts += raw["re"], raw["im"]
+    for i, value in enumerate(parts):
+        try:
+            float(value)
+        except OverflowError:
+            b, rest = divmod(i // 2, n * m)
+            raise SubspaceFileError(f"bases[{b}][{rest // m}][{rest % m}]."
+                                    f"{('re', 'im')[i % 2]} is too large for a double")
+    stack = np.array(parts, dtype=float).view(complex).reshape(len(raw_bases), n, m)
+    for b, mat in enumerate(stack):
+        if not np.isfinite(mat).all():
+            raise SubspaceFileError(f"bases[{b}] contains non-finite entries")
+    return stack
+
+
+_HUGE = int("9" * 400)  # a 400-digit integer, beyond the doubles
+_BAD_VALUES = ("0", True, False, None, float("nan"), float("inf"), float("-inf"), _HUGE, -_HUGE)
+_CORRUPTIONS = ("rows", "entries", "basis_type", "row_type", "entry_type", "missing", "value")
+
+
+def corrupt(raw, kind, b, r, c, choice, value):
+    """Apply one corruption of ``kind`` at basis b, row r, entry c, where the
+    payload still has that position; ``choice`` picks among the variants, and
+    a "value" corruption sets ``value``."""
+    if kind == "basis_type":
+        raw[b] = ({}, "basis", 1.5, None)[choice % 4]
+        return
+    mat = raw[b]
+    if not isinstance(mat, list):
+        return
+    if kind == "rows":
+        mat.pop() if choice % 2 and mat else mat.append(list(mat[0]) if mat else [])
+        return
+    if not mat or not isinstance(mat[r % len(mat)], list):
+        return
+    row = mat[r % len(mat)]
+    if kind == "row_type":
+        mat[r % len(mat)] = ({"re": 1.0}, "row", 2)[choice % 3]
+    elif kind == "entries":
+        row.pop() if choice % 2 and row else row.append({"re": 0.0, "im": 0.0})
+    elif row:
+        c %= len(row)
+        if kind == "entry_type":
+            row[c] = ([0.0, 0.0], 1.0, "entry", None)[choice % 4]
+        elif isinstance(row[c], dict) and kind == "missing":
+            row[c].pop(("re", "im")[choice % 2], None)
+        elif isinstance(row[c], dict):
+            row[c][("re", "im")[choice % 2]] = value
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.data())
+def test_reader_passes_match_the_per_entry_loop(data):
+    # valid payloads with 0-2 corruptions at random positions: the reader
+    # raises the message of the former per-entry loop, lowest first in file
+    # order, and an uncorrupted payload reads back bit-identical
+    n = data.draw(st.integers(1, 6), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    count = data.draw(st.integers(1, 20), label="count")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    stack = np.linalg.qr(rng.standard_normal((count, n, m))
+                         + 1j * rng.standard_normal((count, n, m)))[0]
+    raw = [entries(mat) for mat in stack]
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(_CORRUPTIONS),
+                                          st.integers(0, count - 1), st.integers(0, n - 1),
+                                          st.integers(0, m - 1), st.integers(0, 3),
+                                          st.sampled_from(_BAD_VALUES)),
+                                max_size=2), label="faults")
+    for fault in faults:
+        corrupt(raw, *fault)
+    text = json.dumps(payload_for([entries(mat) for mat in stack]) | {"bases": raw})
+    try:
+        expected = reference_stack(json.loads(text)["bases"], n, m)
+    except SubspaceFileError as err:
+        expected = str(err)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bases.json"
+        path.write_text(text)
+        if isinstance(expected, str):
+            with pytest.raises(SubspaceFileError, match=f"^{re.escape(expected)}$"):
+                read_subspace_file(path)
+            return
+        if (_stiefel_defects(expected) >= KEEP_RAW_TOL).any():
+            # a corruption that kept the structure changed a value: the
+            # orthonormality stage past the loop decides, as tested above
+            assert faults
+            with pytest.raises(SubspaceFileError, match=r"^bases\[\d+\] is not orthonormal"):
+                read_subspace_file(path)
+            return
+        back = np.array([basis.matrix for basis in read_subspace_file(path)])
+    assert back.tobytes() == expected.tobytes()
+    if not faults:
+        assert back.tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("value", _BAD_VALUES, ids=["str", "true", "false", "null", "nan", "inf",
+                                                   "-inf", "huge", "-huge"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_each_bad_value_matches_the_per_entry_loop(tmp_path, value, part):
+    # every kind of bad number at a fixed place, behind a good basis and
+    # ahead of one with a missing part: the same message as the former loop,
+    # so a later structure fault wins over a number of the wrong size
+    raws = [entries(mat) for mat in random_bases(3, 2, 3, seed=8)]
+    raws[1][2][1][part] = value
+    del raws[2][0][0]["im"]
+    path = tmp_path / "f.json"
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError) as expected:
+        reference_stack(json.loads(path.read_text())["bases"], 3, 2)
+    assert re.match(r"^bases\[[12]\]", str(expected.value))
+    with pytest.raises(SubspaceFileError, match=f"^{re.escape(str(expected.value))}$"):
+        read_subspace_file(path)
+
+
+def test_a_valid_file_never_reaches_the_fault_locator(tmp_path, monkeypatch):
+    path = tmp_path / "bases.json"
+    bases = random_bases(8, 1, 1000, seed=7)
+    write_subspace_file(path, bases)
+
+    def fail(*args):
+        raise AssertionError("the locator ran on a valid file")
+
+    monkeypatch.setattr(files, "_locate_fault", fail)
+    back = read_subspace_file(path)
+    assert np.array([b.matrix for b in back]).tobytes() == np.array(bases).tobytes()
+    for basis in back[:3]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.matrix = bases[0]
+    # a fault does reach it
+    raw = json.loads(path.read_text())
+    raw["bases"][999][7][0]["im"] = "0"
+    write_payload(path, raw)
+    with pytest.raises(AssertionError, match="locator ran"):
+        read_subspace_file(path)
+
+
+def test_read_names_the_first_integer_beyond_the_doubles(tmp_path):
+    path = tmp_path / "f.json"
+    raws = [entries(np.eye(2, dtype=complex)) for _ in range(4)]
+    raws[0][1][1] = {"re": float("nan"), "im": 0.0}
+    raws[2][1][0] = {"re": 0.0, "im": -_HUGE}
+    raws[3][0][0] = {"re": _HUGE, "im": 0.0}
+    write_payload(path, payload_for(raws))
+    # after every structure fault, before the non-finite bases
+    with pytest.raises(SubspaceFileError,
+                       match=r"^bases\[2\]\[1\]\[0\]\.im is too large for a double$"):
+        read_subspace_file(path)
+    raws[3][1] = raws[3][1][:1]
+    write_payload(path, payload_for(raws))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[3\]\[1\] must be a list of 2 entries$"):
+        read_subspace_file(path)
+    # the limit is where float() overflows; one less rounds to the largest double
+    limit = 2 ** 1024 - 2 ** 970
+    for value, message in ((limit, r"^bases\[0\]\[0\]\[1\]\.re is too large for a double$"),
+                           (-limit, r"^bases\[0\]\[0\]\[1\]\.re is too large for a double$"),
+                           (limit - 1, r"^bases\[0\] is not orthonormal \(defect inf\)")):
+        raw = entries(np.eye(2, dtype=complex))
+        raw[0][1] = {"re": value, "im": 0}
+        write_payload(path, payload_for([raw]))
+        with pytest.raises(SubspaceFileError, match=message), \
+                np.errstate(over="ignore", invalid="ignore"):
+            read_subspace_file(path)
+
+
+def test_read_rejects_text_json_cannot_decode_typed(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload_for([entries(np.eye(2, dtype=complex))]))
+                    .replace('"re": 1.0', '"re": 1' + "0" * 5000, 1))
+    with pytest.raises(SubspaceFileError, match="^not valid JSON: Exceeds the limit"):
+        read_subspace_file(path)
+    path.write_bytes(b'{"version": "\xff"}')
+    with pytest.raises(SubspaceFileError, match="^not valid JSON: 'utf-8' codec"):
+        read_subspace_file(path)
+
+
+def test_write_rejects_entries_that_are_not_complex_numbers(tmp_path):
+    path = tmp_path / "bad.json"
+    for bases in ([np.eye(2)[:, :1], [[10 ** 400], [0]]], [np.eye(2)[:, :1], [["abc"], [0]]],
+                  [np.eye(2)[:, :1], [[{}], [0]], np.ones(3)]):
+        with pytest.raises(InvalidInputError,
+                           match=r"^bases\[1\] is not an array of complex numbers \("):
+            write_subspace_file(path, bases)
+        assert not path.exists()

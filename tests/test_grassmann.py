@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from grassmean.grassmann import (
     TangentVector,
     _horizontal,
     _lift,
+    _trusted_views,
     basis_from_projector,
     commutator,
     complete_frame,
@@ -519,3 +522,54 @@ def test_a_non_point_is_rejected_naming_its_type(call):
         with pytest.raises(InvalidInputError,
                            match=f"expected a GrassmannPoint, got {type(bad).__name__}"):
             _NON_POINT_CALLS[call](bad, point, velocity, problem)
+
+
+_NON_TANGENT_CALLS = {
+    "add": (lambda point, velocity: velocity + 3, "int"),
+    "metric": (lambda point, velocity: metric(velocity, 1.0), "float"),
+    "metric_first": (lambda point, velocity: metric(1.0, velocity), "float"),
+    "exp": (lambda point, velocity: exp(point, 2.0), "float"),
+    "geodesic": (lambda point, velocity: geodesic(point, point, 1.0), "GrassmannPoint"),
+    "parallel_transport": (lambda point, velocity: parallel_transport(point, velocity, 1.0),
+                           "GrassmannPoint"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_TANGENT_CALLS))
+def test_a_non_tangent_is_rejected_naming_its_type(call):
+    # a public call that reads a tangent's base rejects anything else with
+    # InvalidInputError, as a call that reads a point's basis does
+    rng = np.random.default_rng(59)
+    point = projector_from_basis(random_unitary(5, rng)[:, :2])
+    velocity = random_tangent(point, rng, 0.3)
+    run, kind = _NON_TANGENT_CALLS[call]
+    with pytest.raises(InvalidInputError, match=f"^expected a TangentVector, got {kind}$"):
+        run(point, velocity)
+
+
+@pytest.mark.parametrize("entries", [[[10 ** 400], [0]], [["abc"]], [[{}]], [[1.0], [1.0, 0.0]]],
+                         ids=["overflow", "string", "object", "ragged"])
+def test_a_basis_of_entries_that_are_not_complex_numbers_is_rejected_typed(entries):
+    with pytest.raises(InvalidInputError, match=r"^basis is not an array of complex numbers \("):
+        StiefelBasis(entries)
+
+
+def test_a_basis_whose_gram_overflows_is_not_orthonormal():
+    # finite entries whose products overflow give inf - inf in the Gram
+    # matrix; that defect reads inf, and is never taken for a small one
+    with np.errstate(over="ignore", invalid="ignore"):
+        for entries in ([[1e200 + 1e200j], [0.0]], [[1.0, 1e300], [0.0, 1.0]]):
+            with pytest.raises(InvalidInputError, match=r"not orthonormal \(defect inf\)"):
+                StiefelBasis(entries)
+
+
+def test_trusted_views_are_the_read_only_rows_of_their_stack():
+    stack = np.stack([random_unitary(4, np.random.default_rng(seed))[:, :2] for seed in (1, 2, 3)])
+    views = _trusted_views(StiefelBasis, "matrix", stack)
+    assert [type(view) for view in views] == [StiefelBasis] * 3
+    assert not stack.flags.writeable
+    for view, row in zip(views, stack):
+        assert view.matrix.base is stack and not view.matrix.flags.writeable
+        assert view.matrix.tobytes() == row.tobytes() and (view.dim, view.rank) == (4, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.matrix = row

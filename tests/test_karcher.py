@@ -75,6 +75,26 @@ def test_problem_validation():
             karcher_cost(problem, other)
 
 
+def test_problem_stacks_its_data_once_and_rejects_mixed_shapes():
+    # the stack is checked for one (n, m) by building it; bare projectors of
+    # different ranks are rejected before their bases are found, so none of
+    # them keeps a basis of the wrong rank
+    rng = np.random.default_rng(2)
+    line, plane = (GrassmannPoint(random_point(4, m, rng).matrix) for m in (1, 2))
+    for data in ((line, plane), (StiefelBasis(np.eye(4, 1)), StiefelBasis(np.eye(4, 2))),
+                 (StiefelBasis(np.eye(4, 2)), line), (StiefelBasis(np.eye(3, 1)), line)):
+        with pytest.raises(InvalidInputError, match="^points live on different Grassmannians$"):
+            KarcherProblem(data)
+        assert plane._basis is None and (line._basis is None or line._basis.shape == (4, 1))
+    bases = [StiefelBasis(random_unitary(4, rng)[:, :2]) for _ in range(3)]
+    point = projector_from_basis(random_unitary(4, rng)[:, :2])
+    problem = KarcherProblem([bases[0], point, *bases[1:]])
+    expected = np.array([bases[0].matrix, basis_from_projector(point).matrix,
+                         *(b.matrix for b in bases[1:])])
+    assert problem.bases.tobytes() == expected.tobytes() and not problem.bases.flags.writeable
+    assert (problem.size, problem.dim, problem.rank) == (4, 4, 2)
+
+
 def test_problem_accepts_bases_or_points_alike():
     # the same subspaces, given as projectors and as rotated bases of them
     rng = np.random.default_rng(31)

@@ -62,3 +62,9 @@ def test_expm_skew_matches_scipy():
 def test_expm_skew_rejects_non_skew():
     with pytest.raises(InvalidInputError):
         linalg.expm_skew(np.eye(3))
+
+
+def test_as_matrix_names_entries_numpy_cannot_convert():
+    for value in ([[10 ** 400]], [["abc"]], [[{}]], [[1.0], [1.0, 0.0]]):
+        with pytest.raises(InvalidInputError, match=r"^omega is not an array of complex numbers"):
+            linalg.as_matrix(value, "omega")

@@ -26,8 +26,6 @@ from .grassmann import (
     StiefelBasis,
     TangentVector,
     basis_from_projector,
-    complete_frame,
-    commutator,
     dist,
     exp,
     geodesic,

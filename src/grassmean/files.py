@@ -3,8 +3,8 @@
 A subspace file stores a list of orthonormal bases of a common C^n, each an
 n x m complex matrix written row-major with explicit {re, im} entries.
 Writing and re-reading is bit-exact for finite doubles because floats are
-serialized through repr. ``json`` and ``csv`` are imported on first use, so
-importing the package does not load them.
+serialized through repr. ``json``, ``csv`` and ``gc`` are imported on first
+use, so importing the package does not load them.
 """
 
 from __future__ import annotations
@@ -30,8 +30,25 @@ class SubspaceFileError(InvalidInputError):
     """Malformed or inconsistent subspace file."""
 
 
-def _entry(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
+class _CollectorPaused:
+    """Run a block with the cyclic garbage collector off, then restore the state found.
+
+    A file's JSON tree is thousands of lists and dicts with no cycles: allocating it would
+    set off collections that walk every object in the process, and reference counting
+    frees it anyway. Cycles made meanwhile (say by another thread) wait for a later
+    collection. The state is process-wide; the exit allocates nothing, so it sets off no
+    collection before the caller resumes.
+    """
+
+    def __enter__(self):
+        import gc
+
+        self._resume = gc.enable if gc.isenabled() else None
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self._resume is not None:
+            self._resume()
 
 
 def write_subspace_file(path, bases) -> None:
@@ -53,16 +70,20 @@ def write_subspace_file(path, bases) -> None:
     if not mats:
         raise InvalidInputError("need at least one basis to write")
     n, m = mats[0].shape
-    payload = {
-        "version": FORMAT_VERSION,
-        "n": n,
-        "m": m,
-        "count": len(mats),
-        "bases": [[[_entry(value) for value in row] for row in mat] for mat in mats],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    with _CollectorPaused():
+        # one tolist of each part per basis: a whole-stack tolist would hold a second
+        # copy of every row list while the payload is built
+        payload = {
+            "version": FORMAT_VERSION,
+            "n": n,
+            "m": m,
+            "count": len(mats),
+            "bases": [[[{"re": re, "im": im} for re, im in zip(*row)]
+                       for row in zip(mat.real.tolist(), mat.imag.tolist())] for mat in mats],
+        }
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
 
 
 def _require_int(payload: dict, key: str) -> int:
@@ -127,55 +148,56 @@ def read_subspace_file(path, repair: bool = False) -> list:
     """
     import json
 
-    with open(path) as handle:
+    with _CollectorPaused():
+        with open(path) as handle:
+            try:
+                payload = json.load(handle)
+            except json.JSONDecodeError as err:
+                raise SubspaceFileError(
+                    f"not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
+                ) from err
+            except ValueError as err:  # undecodable text, or an integer of too many digits
+                raise SubspaceFileError(f"not valid JSON: {err}") from err
+        if not isinstance(payload, dict):
+            raise SubspaceFileError("top-level value must be an object")
+        version = payload.get("version")
+        if version != FORMAT_VERSION:
+            raise SubspaceFileError(f"unsupported version {version!r}")
+        n = _require_int(payload, "n")
+        m = _require_int(payload, "m")
+        count = _require_int(payload, "count")
+        if not (1 <= m <= n):
+            raise SubspaceFileError(f"need 1 <= m <= n, got n={n}, m={m}")
+        if count < 1:
+            raise SubspaceFileError("count must be positive")
+        raw_bases = payload.get("bases")
+        if not isinstance(raw_bases, list):
+            raise SubspaceFileError("field 'bases' must be a list")
+        if len(raw_bases) != count:
+            raise SubspaceFileError(f"count says {count} bases, found {len(raw_bases)}")
+        parts = _entry_parts(raw_bases, n, m)
+        if parts is None:
+            _locate_fault(raw_bases, n, m)
         try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SubspaceFileError(
-                f"not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
-            ) from err
-        except ValueError as err:  # undecodable text, or an integer of too many digits
-            raise SubspaceFileError(f"not valid JSON: {err}") from err
-    if not isinstance(payload, dict):
-        raise SubspaceFileError("top-level value must be an object")
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise SubspaceFileError(f"unsupported version {version!r}")
-    n = _require_int(payload, "n")
-    m = _require_int(payload, "m")
-    count = _require_int(payload, "count")
-    if not (1 <= m <= n):
-        raise SubspaceFileError(f"need 1 <= m <= n, got n={n}, m={m}")
-    if count < 1:
-        raise SubspaceFileError("count must be positive")
-    raw_bases = payload.get("bases")
-    if not isinstance(raw_bases, list):
-        raise SubspaceFileError("field 'bases' must be a list")
-    if len(raw_bases) != count:
-        raise SubspaceFileError(f"count says {count} bases, found {len(raw_bases)}")
-    parts = _entry_parts(raw_bases, n, m)
-    if parts is None:
-        _locate_fault(raw_bases, n, m)
-    try:
-        stack = np.array(parts, dtype=float).view(complex).reshape(count, n, m)
-    except OverflowError:  # an integer beyond the doubles: the first in file order is named
-        index = next(i for i, value in enumerate(parts)
-                     if type(value) is int and abs(value) >= _INT_LIMIT)
-        b, r, c = np.unravel_index(index // 2, (count, n, m))
-        raise SubspaceFileError(f"bases[{b}][{r}][{c}].{('re', 'im')[index % 2]} "
-                                "is too large for a double") from None
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    if bad.size:
-        raise SubspaceFileError(f"bases[{bad[0]}] contains non-finite entries")
-    defects = _stiefel_defects(stack)
-    for b in np.flatnonzero(defects >= KEEP_RAW_TOL):
-        if defects[b] > POLISH_TOL and not repair:
-            raise SubspaceFileError(f"bases[{b}] is not orthonormal (defect {defects[b]:.3g}); "
-                                    "pass repair to re-orthonormalize")
-        if np.linalg.matrix_rank(stack[b]) < m:
-            raise SubspaceFileError(f"bases[{b}] is rank deficient; cannot repair")
-        stack[b] = _polar_orthonormalize(stack[b])
-    return _trusted_views(StiefelBasis, "matrix", stack)
+            stack = np.array(parts, dtype=float).view(complex).reshape(count, n, m)
+        except OverflowError:  # an integer beyond the doubles: the first in file order is named
+            index = next(i for i, value in enumerate(parts)
+                         if type(value) is int and abs(value) >= _INT_LIMIT)
+            b, r, c = np.unravel_index(index // 2, (count, n, m))
+            raise SubspaceFileError(f"bases[{b}][{r}][{c}].{('re', 'im')[index % 2]} "
+                                    "is too large for a double") from None
+        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+        if bad.size:
+            raise SubspaceFileError(f"bases[{bad[0]}] contains non-finite entries")
+        defects = _stiefel_defects(stack)
+        for b in np.flatnonzero(defects >= KEEP_RAW_TOL):
+            if defects[b] > POLISH_TOL and not repair:
+                raise SubspaceFileError(f"bases[{b}] is not orthonormal (defect {defects[b]:.3g}); "
+                                        "pass repair to re-orthonormalize")
+            if np.linalg.matrix_rank(stack[b]) < m:
+                raise SubspaceFileError(f"bases[{b}] is rank deficient; cannot repair")
+            stack[b] = _polar_orthonormalize(stack[b])
+        return _trusted_views(StiefelBasis, "matrix", stack)
 
 
 def _cell(value) -> str:

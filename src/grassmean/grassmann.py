@@ -33,10 +33,6 @@ CUT_LOCUS_TOL = 1e-8
 _TINY = np.finfo(float).tiny
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class GrassmannPoint:
     """An m-dimensional subspace of C^n stored as its orthogonal projector.
@@ -81,9 +77,10 @@ class GrassmannPoint:
 def _stiefel_defects(stack: np.ndarray) -> np.ndarray:
     """|B^H B - I|_F of each basis B in an (..., n, m) stack, from one batched product."""
     m = stack.shape[-1]
-    gram = (stack.conj().swapaxes(-1, -2) @ stack).reshape(*stack.shape[:-2], m * m)
-    gram[..., ::m + 1] -= 1.0  # the diagonal
-    defects = np.sqrt(np.vecdot(gram, gram).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf below, unwarned
+        gram = (stack.conj().swapaxes(-1, -2) @ stack).reshape(*stack.shape[:-2], m * m)
+        gram[..., ::m + 1] -= 1.0  # the diagonal
+        defects = np.sqrt(np.vecdot(gram, gram).real)
     return np.where(np.isnan(defects), np.inf, defects)  # finite entries whose products overflow
 
 
@@ -264,17 +261,6 @@ def _bases(points) -> list:
 def basis_from_projector(point: GrassmannPoint) -> StiefelBasis:
     """Orthonormal basis of the projector's range, the one the point keeps; not checked again."""
     return _trusted(StiefelBasis, matrix=_bases([point])[0])
-
-
-def complete_frame(basis) -> np.ndarray:
-    """Extend an orthonormal basis to a full n-by-n unitary.
-
-    The complement columns are the last n - m columns of the basis's complete
-    QR factor, which are orthogonal to its span; the first m columns of the
-    result are the input basis unchanged.
-    """
-    mat = linalg.as_matrix(basis, "basis")
-    return np.hstack([mat, np.linalg.qr(mat, mode="complete")[0][:, mat.shape[1]:]])
 
 
 def tangent_project(point: GrassmannPoint, value) -> TangentVector:

@@ -1,9 +1,11 @@
-"""Dense complex linear-algebra kernels.
+"""Input checks for dense complex matrices.
 
-Thin validating wrappers around LAPACK (through numpy) for the operations the
-subspace geometry needs: Hermitian eigendecompositions with a fixed descending
-order and unitary exponentials of skew-Hermitian matrices. Inputs are never
-mutated.
+``as_matrix`` turns a caller's value into a finite two-dimensional complex
+array, and ``require_hermitian`` returns the exactly Hermitian part of a
+near-Hermitian square one; the public API checks its array arguments through
+them. ``require_skew_hermitian``, ``hermitian_eig`` and ``expm_skew`` have no
+caller in the package; the benchmark's layer table still looks the last two
+up by name. Inputs are never mutated.
 """
 
 from __future__ import annotations

@@ -8,6 +8,21 @@ import numpy as np
 from grassmean.grassmann import GrassmannPoint, StiefelBasis, exp, tangent_project
 
 
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def complete_frame(basis):
+    """Extend an orthonormal basis to a full n-by-n unitary.
+
+    The complement columns are the last n - m columns of the basis's complete
+    QR factor, which are orthogonal to its span; the first m columns of the
+    result are the input basis unchanged.
+    """
+    mat = np.asarray(basis, dtype=complex)
+    return np.hstack([mat, np.linalg.qr(mat, mode="complete")[0][:, mat.shape[1]:]])
+
+
 def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

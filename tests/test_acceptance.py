@@ -8,14 +8,12 @@ import time
 
 import numpy as np
 
-from conftest import random_cloud, random_point, random_tangent
+from conftest import commutator, complete_frame, random_cloud, random_point, random_tangent
 from grassmean.blindid import MixingExperiment, run_experiment
 from grassmean.cli import main
 from grassmean.files import write_subspace_file
 from grassmean.grassmann import (
     basis_from_projector,
-    commutator,
-    complete_frame,
     dist,
     exp,
     geodesic,

@@ -305,3 +305,22 @@ def test_import_leaves_concurrent_futures_unloaded():
          "assert not loaded, f'{sorted(loaded)} loaded'"],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_entries_near_the_double_limit_give_only_the_one_line_error(tmp_path):
+    # a Gram that overflows reads defect inf with no numpy warning before the
+    # error; run in a fresh process, where warnings reach stderr unfiltered
+    path = tmp_path / "huge.json"
+    write_subspace_file(path, [np.array([[1.0], [1.7e308 + 1.7e308j]])])
+    out = tmp_path / "mean.json"
+    src = Path(grassmean.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r})\n"
+         "from grassmean.cli import console_main; console_main()",
+         "karcher-mean", str(path), "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == ("error: bases[0] is not orthonormal (defect inf); "
+                           "pass repair to re-orthonormalize\n")
+    assert not out.exists()

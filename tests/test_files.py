@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import gc
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -579,3 +582,103 @@ def test_write_rejects_entries_that_are_not_complex_numbers(tmp_path):
                            match=r"^bases\[1\] is not an array of complex numbers \("):
             write_subspace_file(path, bases)
         assert not path.exists()
+
+
+def test_read_of_entries_near_the_double_limit_raises_typed_without_warnings(tmp_path):
+    # the orthonormality check maps a Gram that overflows to defect inf itself,
+    # so numpy warns of nothing on the way to the typed error
+    path = tmp_path / "f.json"
+    raw = entries(np.eye(2, dtype=complex))
+    raw[0][1] = {"re": 1.7e308, "im": 1.7e308}
+    write_payload(path, payload_for([raw]))
+    with pytest.raises(SubspaceFileError, match=r"^bases\[0\] is not orthonormal \(defect inf\)"), \
+            np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read_subspace_file(path)
+
+
+def test_reading_a_thousand_bases_runs_no_collection(tmp_path):
+    # the parse tree of the cli-file-mean file is about 9,000 lists, enough to
+    # set off a dozen collections if the collector ran during the read
+    path = tmp_path / "bases.json"
+    write_subspace_file(path, random_bases(8, 1, 1000, seed=5))
+    started = []
+
+    def seen(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(seen)
+    try:
+        bases = read_subspace_file(path)
+    finally:
+        gc.callbacks.remove(seen)
+    assert len(bases) == 1000 and gc.isenabled()
+    assert started == [], f"collections of generations {started} ran during the read"
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def _valid(tmp_path):
+    path = tmp_path / "ok.json"
+    write_subspace_file(path, random_bases(4, 2, 10, seed=7))
+    return path
+
+
+def _malformed(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"version": "1",')
+    return path
+
+
+def _missing(tmp_path):
+    return tmp_path / "no such directory" / "f.json"
+
+
+def _not_orthonormal(tmp_path):
+    path = tmp_path / "skewed.json"
+    write_subspace_file(path, [np.array([[1.0], [1.0]], dtype=complex)])
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("make, error", [
+    (_valid, None),
+    (_malformed, SubspaceFileError),
+    (_missing, OSError),
+    (_not_orthonormal, SubspaceFileError),
+], ids=["valid", "malformed", "missing", "not-orthonormal"])
+def test_read_leaves_the_collector_as_it_found_it(tmp_path, enabled, make, error):
+    # the collector's state is process-wide: a read restores it after a
+    # success and after each kind of failure, whichever state it began in
+    path = make(tmp_path)
+    with _collector(enabled):
+        if error is None:
+            assert len(read_subspace_file(path)) == 10
+        else:
+            with pytest.raises(error):
+                read_subspace_file(path)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_write_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    with _collector(enabled):
+        write_subspace_file(tmp_path / "f.json", random_bases(4, 2, 10, seed=7))
+        assert gc.isenabled() is enabled
+        with pytest.raises(OSError):
+            write_subspace_file(_missing(tmp_path), random_bases(4, 2, 10, seed=7))
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidInputError):
+            write_subspace_file(tmp_path / "g.json", [np.ones((2, 3))])
+        assert gc.isenabled() is enabled

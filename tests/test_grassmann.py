@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_point, random_tangent, random_unitary
+from conftest import commutator, complete_frame, random_point, random_tangent, random_unitary
 from grassmean.exceptions import CutLocusError, InvalidInputError
 from grassmean.grassmann import (
     STIEFEL_TOL,
@@ -17,8 +17,6 @@ from grassmean.grassmann import (
     _lift,
     _trusted_views,
     basis_from_projector,
-    commutator,
-    complete_frame,
     dist,
     exp,
     geodesic,

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 import grassmean.karcher as karcher
 from grassmean import linalg
 from grassmean.files import read_subspace_file, write_subspace_file
-from conftest import basis_cloud, random_cloud, random_point, random_tangent, random_unitary
+from conftest import (basis_cloud, commutator, random_cloud, random_point, random_tangent,
+                      random_unitary)
 from grassmean.exceptions import (
     CutLocusError,
     DegenerateCurvatureError,
@@ -21,7 +22,6 @@ from grassmean.grassmann import (
     _geodesic,
     _point,
     basis_from_projector,
-    commutator,
     dist,
     exp,
     geodesic,

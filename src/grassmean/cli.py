@@ -48,13 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
     mean.add_argument("input", help="subspace JSON file")
     mean.add_argument("--out", required=True, help="output subspace JSON file (one basis)")
     mean.add_argument("--trace", help="iteration trace CSV (default: <out>.trace.csv)")
-    mean.add_argument("--rule", choices=DIRECTION_RULES, default="hs",
+    # the option defaults are CGConfig's, so the library and the CLI share one set
+    defaults = CGConfig()
+    mean.add_argument("--rule", choices=DIRECTION_RULES, default=defaults.direction_rule,
                       help="conjugate-direction update rule")
-    mean.add_argument("--step", choices=sorted(_STEP_RULES), default="backtrack",
+    mean.add_argument("--step", choices=sorted(_STEP_RULES),
+                      default=next(k for k, v in _STEP_RULES.items() if v == defaults.step_rule),
                       help="step-size rule: Armijo backtracking, or newton (any rank)")
-    mean.add_argument("--grad-tol", type=float, default=1e-8,
+    mean.add_argument("--grad-tol", type=float, default=defaults.grad_tol,
                       help="gradient-norm stopping tolerance")
-    mean.add_argument("--max-iter", type=int, default=500, help="iteration cap")
+    mean.add_argument("--max-iter", type=int, default=defaults.max_iter, help="iteration cap")
     mean.add_argument("--repair", action="store_true",
                       help="re-orthonormalize bases that fail the file check")
 

@@ -85,6 +85,25 @@ def test_karcher_mean_default_step_on_a_thousand_lines(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "status = converged"
 
 
+def test_bare_karcher_mean_runs_the_library_default_config(tmp_path, capsys, monkeypatch):
+    # the options' defaults are CGConfig's: a bare parse maps back to CGConfig(),
+    # and a bare run hands the solver that config
+    args = cli.build_parser().parse_args(["karcher-mean", "in.json", "--out", "out.json"])
+    default = grassmean.CGConfig()
+    assert (args.rule, cli._STEP_RULES[args.step], args.grad_tol, args.max_iter) == (
+        default.direction_rule, default.step_rule, default.grad_tol, default.max_iter)
+    configs = []
+
+    def solve(problem, config=None):
+        configs.append(config)
+        return grassmean.karcher_mean(problem, config=config)
+
+    monkeypatch.setattr(cli, "karcher_mean", solve)
+    assert main(["karcher-mean", str(cloud_file(tmp_path)), "--out",
+                 str(tmp_path / "mean.json")]) == 0
+    assert configs == [default]
+
+
 def test_karcher_mean_iteration_cap_exit_code(tmp_path, capsys):
     src = cloud_file(tmp_path)
     out = tmp_path / "mean.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +311,23 @@ def test_every_direction_rule_converges_without_crawling():
     for config in [CGConfig(direction_rule=rule, max_iter=20) for rule in RULES]:
         _, trace = karcher_mean(problem, config=config)
         assert trace.converged, config
+
+
+def test_default_rule_takes_under_four_fifths_of_hestenes_stiefel_iterations():
+    # over 72 clouds (n = 4, 7; m = 1-3; N = 5-300; radius 0.5-1.3) the default
+    # rule converges wherever Hestenes-Stiefel does, in 0.70 of its iterations
+    # in total (442 against 632); the bound 0.8 sits above that measurement,
+    # and Hestenes-Stiefel as the default reads 1.0
+    default, hs = [], []
+    for n, m, count, radius in itertools.product(
+            (4, 7), (1, 2, 3), (5, 20, 80, 300), (0.5, 0.9, 1.3)):
+        problem = KarcherProblem(basis_cloud(
+            n, m, count, radius, np.random.default_rng([n, m, count, int(10 * radius)])))
+        default.append(karcher_mean(problem)[1])
+        hs.append(karcher_mean(problem, config=CGConfig(direction_rule="hs"))[1])
+    assert all(ours.converged for ours, theirs in zip(default, hs) if theirs.converged)
+    total = sum(trace.iterations for trace in default)
+    assert total <= 0.8 * sum(trace.iterations for trace in hs)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -1081,7 +1100,9 @@ def test_a_failed_line_search_retries_from_steepest_descent_then_stops(monkeypat
 
 def test_one_failed_line_search_restarts_and_the_solve_converges(monkeypatch):
     # the third Armijo search (iteration 3) fails once; the retry runs from
-    # steepest descent, its iterate records the restart, and the solve goes on
+    # steepest descent, its iterate records the restart, and the solve goes on;
+    # under Hestenes-Stiefel, because the default rule solves this cloud in
+    # three searches
     calls = []
 
     def fails_once(objective, value0, slope, step):
@@ -1092,7 +1113,7 @@ def test_one_failed_line_search_restarts_and_the_solve_converges(monkeypatch):
 
     monkeypatch.setattr(karcher, "backtracking_step", fails_once)
     _, problem = ball_problem(5, 2, 10, 0.5, seed=37)
-    _, trace = karcher_mean(problem)
+    _, trace = karcher_mean(problem, config=CGConfig(direction_rule="hs"))
     assert trace.converged
     assert [item.restart for item in trace.iterates[1:4]] == [False, False, True]
     gnorm = trace.iterates[2].grad_norm

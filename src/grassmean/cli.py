@@ -31,16 +31,8 @@ _STEP_RULES = {"backtrack": "backtracking", "newton": "newton_cp"}
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        """argparse exits with code 2 on bad usage; the contract here is 1."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-
-    parser = _Parser(prog="grassmean",
-                     description="Average subspaces of C^n and benchmark the result.")
+    parser = argparse.ArgumentParser(
+        prog="grassmean", description="Average subspaces of C^n and benchmark the result.")
     parser.add_argument("--version", action="version", version=f"grassmean {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,12 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_trace_path(out_path: str) -> str:
-    return os.path.splitext(out_path)[0] + ".trace.csv"
-
-
 def _run_karcher_mean(args) -> int:
-    trace_path = args.trace if args.trace else _default_trace_path(args.out)
+    trace_path = args.trace or os.path.splitext(args.out)[0] + ".trace.csv"
     problem = KarcherProblem(read_subspace_file(args.input, repair=args.repair))
     config = CGConfig(direction_rule=args.rule, step_rule=_STEP_RULES[args.step],
                       grad_tol=args.grad_tol, max_iter=args.max_iter)
@@ -164,11 +152,10 @@ def _run_experiment_cmd(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code or 0)
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse exits with 2 on bad usage; the contract here is 1
+        return EXIT_USAGE if err.code == 2 else int(err.code or 0)
     try:
         if args.command == "karcher-mean":
             return _run_karcher_mean(args)

@@ -1,16 +1,16 @@
 """The complex Grassmannian realized as rank-m Hermitian projectors.
 
-A point is an n-by-n Hermitian projector P with trace m; a tangent vector at P
-is a Hermitian H with [P, [P, H]] = H. In this picture geodesics, parallel
+A point reads as an n-by-n Hermitian projector P with trace m; a tangent vector
+at P as a Hermitian H with [P, [P, H]] = H. In this picture geodesics, parallel
 transport and the exponential map are all unitary conjugation flows
 e^{t[H,P]} (.) e^{-t[H,P]}. They are computed as in the Karcher solver, on an
-orthonormal n-by-m basis X of P: H is read as the horizontal D = H X
-(X^H D = 0, and H = X D^H + D X^H), and the flow moves X and carries tangents
-in closed form (Edelman, Arias & Smith 1998, section 2.5). The logarithm and
-geodesic distance come from principal angles between the two subspaces, which
-one batched kernel computes from a basis of each. A point keeps an
-orthonormal basis of its range: the one the package built it from, or, for a
-projector given by the caller, its top eigenvectors, found once on first use.
+orthonormal n-by-m basis X of P, which a point keeps: the one the package
+built it from, or, for a caller's projector, its top eigenvectors, found once
+on first use. A tangent keeps its horizontal D = H X (X^H D = 0, and
+H = X D^H + D X^H), and the flow moves X and carries D in closed form (Edelman,
+Arias & Smith 1998, section 2.5). The logarithm and geodesic distance come from
+principal angles, which one batched kernel computes from a basis of each. No
+operation forms an n-by-n matrix: a built object forms ``matrix`` when read.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GrassmannPoint:
-    """An m-dimensional subspace of C^n stored as its orthogonal projector.
+    """An m-dimensional subspace of C^n, read as its orthogonal projector.
 
-    The matrix is validated on construction: Hermitian, idempotent to
-    PROJECTOR_TOL in Frobenius norm, trace within TRACE_TOL of the rank.
-    The stored array is a read-only copy.
+    A caller's matrix is validated on construction: Hermitian, idempotent to
+    PROJECTOR_TOL in Frobenius norm, trace within TRACE_TOL of the rank, kept
+    as a read-only copy. A built point forms it from its basis on first read.
     """
 
     matrix: np.ndarray
@@ -66,12 +66,24 @@ class GrassmannPoint:
         object.__setattr__(self, "matrix", proj)
         object.__setattr__(self, "rank", rank)
 
+    def __getattr__(self, name):  # runs only for an unset attribute; the formula is _point's
+        return _formed(self, name, "_basis", lambda basis: _lift(basis, 0.5 * basis))
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix if self._basis is None else self._basis)
 
     def __repr__(self):
         return f"GrassmannPoint(n={self.dim}, m={self.rank})"
+
+
+def _formed(obj, name: str, kept: str, form) -> np.ndarray:
+    """An unset ``matrix``, kept read-only as ``form`` of ``kept``; else AttributeError."""
+    if name != "matrix" or kept not in vars(obj):
+        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+    matrix = form(vars(obj)[kept])
+    matrix.flags.writeable = False
+    return vars(obj).setdefault("matrix", matrix)
 
 
 def _stiefel_defects(stack: np.ndarray) -> np.ndarray:
@@ -116,11 +128,11 @@ class StiefelBasis:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class TangentVector:
-    """Tangent vector at a point: Hermitian H with [P, [P, H]] = X D^H + D X^H = H,
-    checked on the point's kept basis X; the package builds its own unchecked.
+    """Tangent vector at a point, read as a Hermitian H with [P, [P, H]] = H and held as
+    D = H X at the point's kept basis X: a caller's H = X D^H + D X^H is checked on X and
+    kept, and a package-built tangent forms it on first read.
 
-    Supports the vector-space operations (+, -, real scalar *) among vectors
-    anchored at the same base point.
+    +, - and real scalar * act on D, among vectors anchored at the same base point.
     """
 
     base: GrassmannPoint
@@ -132,31 +144,40 @@ class TangentVector:
         if mat.shape[0] != len(basis):
             raise InvalidInputError(
                 f"tangent shape {mat.shape} does not match base dimension {len(basis)}")
-        defect = np.linalg.norm(mat - _lift(basis, _horizontal(mat, basis)))
+        tangent = _horizontal(mat, basis)
+        defect = np.linalg.norm(mat - _lift(basis, tangent))
         if defect >= TANGENT_TOL * max(1.0, np.linalg.norm(mat)):
             raise InvalidInputError(f"matrix is not tangent at the base point (defect {defect:.3e})")
         mat.setflags(write=False)
+        tangent.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_d", tangent)
+
+    def __getattr__(self, name):  # runs only for an attribute that is not set
+        return _formed(self, name, "_d", lambda tangent: _lift(_bases([self.base])[0], tangent))
 
     def norm(self) -> float:
-        """Metric norm; equals the Frobenius norm for Hermitian matrices."""
-        return float(np.linalg.norm(self.matrix))
+        """Metric norm sqrt(2 Re<D, D>), the Frobenius norm of H."""
+        return float(np.sqrt(_metric(self._d, self._d)))
+
+    def _at_base(self, tangent: np.ndarray) -> TangentVector:
+        if not np.all(np.isfinite(tangent)):  # an overflow or a non-finite factor, as H's check
+            raise InvalidInputError("tangent vector contains non-finite entries")
+        return _trusted(TangentVector, base=self.base, _d=tangent)
 
     def __neg__(self):
-        return _trusted(TangentVector, base=self.base, matrix=-self.matrix)
+        return _trusted(TangentVector, base=self.base, _d=-self._d)
 
     def __add__(self, other):
-        require_anchored(other, self.base)
-        return TangentVector(self.base, self.matrix + other.matrix)
+        return self._at_base(self._d + require_anchored(other, self.base))
 
     def __sub__(self, other):
-        require_anchored(other, self.base)
-        return TangentVector(self.base, self.matrix - other.matrix)
+        return self._at_base(self._d - require_anchored(other, self.base))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, Real):
             return NotImplemented
-        return TangentVector(self.base, float(scalar) * self.matrix)
+        return self._at_base(float(scalar) * self._d)
 
     __rmul__ = __mul__
 
@@ -164,33 +185,31 @@ class TangentVector:
         return f"TangentVector(n={self.base.dim}, m={self.base.rank}, norm={self.norm():.3e})"
 
 
-def require_anchored(vector: TangentVector, point: GrassmannPoint) -> None:
-    """Reject anything but a tangent whose base is ``point`` to within BASE_MATCH_TOL."""
-    _require_tangent(vector)
+def require_anchored(vector: TangentVector, point: GrassmannPoint) -> np.ndarray:
+    """The D of ``vector`` at the kept basis X2 of ``point``, to which its base X1 must be
+    within BASE_MATCH_TOL in |P1 - P2|_F = sqrt(2) |X2 - X1 X1^H X2|_F: D1 X1^H X2 off X2."""
+    _require(TangentVector, [vector])
     if vector.base is point:
-        return
-    _require_points([point])
-    if vector.base.dim != point.dim or vector.base.rank != point.rank:
-        raise InvalidInputError("tangent vector lives on a different Grassmannian")
-    gap = np.linalg.norm(vector.base.matrix - point.matrix)
+        return vector._d
+    _require_same_space(vector.base, point)
+    first, second = _bases([vector.base, point])
+    overlap = first.conj().T @ second
+    gap = np.sqrt(2.0) * np.linalg.norm(second - first @ overlap)
     if gap > BASE_MATCH_TOL:
         raise InvalidInputError(f"tangent vector is not anchored at the point (gap {gap:.3e})")
+    tangent = vector._d @ overlap
+    return tangent - second @ (second.conj().T @ tangent)
 
 
-def _require_points(points) -> None:
-    """Reject anything among ``points`` but a GrassmannPoint, naming its type."""
-    for kind in set(map(type, points)):
-        if not issubclass(kind, GrassmannPoint):
-            raise InvalidInputError(f"expected a GrassmannPoint, got {kind.__name__}")
-
-
-def _require_tangent(vector) -> None:
-    if not isinstance(vector, TangentVector):
-        raise InvalidInputError(f"expected a TangentVector, got {type(vector).__name__}")
+def _require(kind: type, values) -> None:
+    """Reject anything among ``values`` but a ``kind``, naming its type."""
+    for stray in set(map(type, values)):
+        if not issubclass(stray, kind):
+            raise InvalidInputError(f"expected a {kind.__name__}, got {stray.__name__}")
 
 
 def _require_same_space(first: GrassmannPoint, second: GrassmannPoint) -> None:
-    _require_points([first, second])
+    _require(GrassmannPoint, [first, second])
     if first.dim != second.dim or first.rank != second.rank:
         raise InvalidInputError(
             f"points live on different Grassmannians: (n={first.dim}, m={first.rank}) "
@@ -229,12 +248,10 @@ def _trusted_views(cls, name: str, stack: np.ndarray) -> list:
 
 
 def _point(basis: np.ndarray) -> GrassmannPoint:
-    """The span of an orthonormal n-by-m ``basis`` as a projector that keeps a copy
-    of it, made exactly Hermitian, as GrassmannPoint makes it, and not checked."""
+    """The span of an orthonormal ``basis`` X as a point that holds a copy of it, not checked; its
+    projector X (X/2)^H + (X/2) X^H, formed when read, has the bits of 0.5 (P + P^H), P = X X^H."""
     basis = basis.copy()  # owned, so the point holds on to no larger array
-    proj = basis @ basis.conj().T
-    return _trusted(GrassmannPoint, matrix=0.5 * (proj + proj.conj().T), rank=basis.shape[1],
-                    _basis=basis)
+    return _trusted(GrassmannPoint, rank=basis.shape[1], _basis=basis)
 
 
 def _bases(points) -> list:
@@ -244,7 +261,7 @@ def _bases(points) -> list:
     eigenvectors, in descending order, from one batched ``eigh``, and keep
     them. A projector with fewer than m eigenvalues near 1 is rejected, as is a non-point.
     """
-    _require_points(points)
+    _require(GrassmannPoint, points)
     bare = [point for point in points if point._basis is None]
     if bare:  # two threads that fill one point at once compute the same bits
         m = bare[0].rank
@@ -270,24 +287,29 @@ def tangent_project(point: GrassmannPoint, value) -> TangentVector:
     if mat.shape[0] != len(basis):
         raise InvalidInputError(
             f"matrix shape {mat.shape} does not match dimension {len(basis)}")
-    return _trusted(TangentVector, base=point, matrix=_lift(basis, _horizontal(mat, basis)))
+    return _trusted(TangentVector, base=point, _d=_horizontal(mat, basis))
+
+
+def _metric(first: np.ndarray, second: np.ndarray):
+    """Inner product tr(H1 H2) = 2 Re<D1, D2> of horizontal tangents, per leading index."""
+    flat = first.shape[:-2] + (-1,)
+    return np.vecdot(first.reshape(flat), second.reshape(flat)).real * 2.0
 
 
 def metric(first: TangentVector, second: TangentVector) -> float:
-    """Riemannian inner product tr(H1 H2); real for Hermitian arguments."""
-    _require_tangent(first)
-    require_anchored(second, first.base)
-    return float(np.einsum("ij,ji->", first.matrix, second.matrix).real)
+    """Riemannian inner product tr(H1 H2) = 2 Re<D1, D2>."""
+    _require(TangentVector, [first])
+    return float(_metric(first._d, require_anchored(second, first.base)))
 
 
 def zero_tangent(point: GrassmannPoint) -> TangentVector:
-    _require_points([point])
-    return _trusted(TangentVector, base=point, matrix=np.zeros((point.dim,) * 2, dtype=complex))
+    _require(GrassmannPoint, [point])
+    return _trusted(TangentVector, base=point, _d=np.zeros((point.dim, point.rank), dtype=complex))
 
 
 def _horizontal(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The horizontal D = H X - X X^H H X of a Hermitian H at span X = span ``basis``: a
-    tangent part X D^H + D X^H is [P, [P, H]], and a vertical part must move nothing."""
+    """The horizontal D = H X - X X^H H X of a caller's Hermitian H at span X = span ``basis``:
+    a tangent part X D^H + D X^H is [P, [P, H]], and a vertical part must move nothing."""
     tangent = matrix @ basis
     return tangent - basis @ (basis.conj().T @ tangent)
 
@@ -324,17 +346,16 @@ def _geodesic(basis: np.ndarray, tangent: np.ndarray):
 
 
 def _flow(point: GrassmannPoint, velocity: TangentVector, t: float):
-    """The kept basis of ``point``, its image at t along ``velocity`` and the transport."""
-    require_anchored(velocity, point)
+    """The image at t of the kept basis of ``point`` along ``velocity``, and the transport."""
+    tangent = require_anchored(velocity, point)
     if isinstance(t, bool) or not isinstance(t, Real) or not -np.inf < t < np.inf:
         raise InvalidInputError(f"geodesic parameter must be a finite real number, got {t!r}")
-    basis = _bases([point])[0]
-    return basis, *_geodesic(basis, _horizontal(velocity.matrix, basis))(float(t))
+    return _geodesic(_bases([point])[0], tangent)(float(t))
 
 
 def geodesic(point: GrassmannPoint, velocity: TangentVector, t: float) -> GrassmannPoint:
     """Point at parameter t of the geodesic through ``point`` with ``velocity``."""
-    return _point(_flow(point, velocity, t)[1])
+    return _point(_flow(point, velocity, t)[0])
 
 
 def exp(point: GrassmannPoint, velocity: TangentVector) -> GrassmannPoint:
@@ -349,10 +370,9 @@ def parallel_transport(vector: TangentVector, velocity: TangentVector,
     Both inputs must be anchored at the same point; the result is anchored at
     the geodesic point at parameter t. Transport is a metric isometry.
     """
-    _require_tangent(vector)
-    basis, moved, carry = _flow(vector.base, velocity, t)
-    return _trusted(TangentVector, base=_point(moved),
-                    matrix=_lift(moved, carry(_horizontal(vector.matrix, basis))))
+    _require(TangentVector, [vector])
+    moved, carry = _flow(vector.base, velocity, t)
+    return _trusted(TangentVector, base=_point(moved), _d=carry(vector._d))
 
 
 def _overlap_svd(square: np.ndarray):
@@ -430,4 +450,4 @@ def log(point: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     _, tangent, cut, _ = _principal_angles(basis, other.conj().T)
     if cut >= 0:
         raise CutLocusError(index=int(cut))
-    return _trusted(TangentVector, base=point, matrix=_lift(basis, tangent))
+    return _trusted(TangentVector, base=point, _d=tangent)

@@ -11,8 +11,8 @@ direction to the new basis for the conjugate coefficient. Direction rules are
 the classical conjugate ones; step sizes come from backtracking or, at any
 rank, a Newton step on the cost's exact second derivative along the geodesic.
 A backtracking search reads its first trial from the next iterate's own kernel
-call. Past the anchor's averaged projector, n-by-n matrices are built only for
-the result and the callback.
+call. Past the anchor's averaged projector no n-by-n matrix is built; the result
+and the callback's points and tangents form theirs only when it is read.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .grassmann import (
     TangentVector,
     _bases,
     _geodesic,
-    _horizontal,
-    _lift,
+    _metric,
     _point,
     _principal_angles,
     _trusted,
@@ -187,12 +186,6 @@ def _adjoint(bases: np.ndarray) -> np.ndarray:
     return bases.conj().swapaxes(-1, -2).reshape(*batch, count * m, n)
 
 
-def _metric(first: np.ndarray, second: np.ndarray):
-    """Inner product tr(H1 H2) = 2 Re<D1, D2> of horizontal tangents, per leading index."""
-    flat = first.shape[:-2] + (-1,)
-    return np.vecdot(first.reshape(flat), second.reshape(flat)).real * 2.0
-
-
 def _cost(angles: np.ndarray) -> np.ndarray:
     """Karcher cost from the (..., N, m) principal angles to the data."""
     return 2.0 * (angles * angles).sum(axis=(-2, -1)) / angles.shape[-2]
@@ -240,8 +233,8 @@ def _move(path, steps, adjoint: np.ndarray) -> tuple:
 
 def karcher_gradient(problem: KarcherProblem, point: GrassmannPoint) -> TangentVector:
     """Riemannian gradient of the Karcher cost: minus twice the mean data log."""
-    basis, _, _, _, residual, _ = _at(problem, point)
-    return _trusted(TangentVector, base=point, matrix=_lift(basis, (2.0 / problem.size) * residual))
+    residual = _at(problem, point)[4]
+    return _trusted(TangentVector, base=point, _d=(2.0 / problem.size) * residual)
 
 
 def backtracking_step(objective, value0: float, slope: float, step: float) -> float:
@@ -326,9 +319,8 @@ def _newton_step(factors: tuple, adjoint: np.ndarray, tangent: np.ndarray, angle
 def newton_step_cp(problem: KarcherProblem, point: GrassmannPoint,
                    direction: TangentVector) -> float:
     """Newton step size along ``direction``; CutLocusError as ``karcher_cost``."""
-    require_anchored(direction, point)
-    basis, adjoint, angles, _, grad, factors = _at(problem, point)
-    tangent = _horizontal(direction.matrix, basis)
+    tangent = require_anchored(direction, point)
+    _, adjoint, angles, _, grad, factors = _at(problem, point)
     slope = (2.0 / problem.size) * _metric(grad, tangent)
     step, (error,) = _newton_step(factors, adjoint, tangent, angles, slope)
     if error is not None:
@@ -430,8 +422,8 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
     first_step, backtrack = 1.0 / count, config.step_rule == "backtracking"
 
     def view(k):  # the callback's point, gradient and direction of running problem k
-        point = _point(basis[k])
-        return (point, *(_trusted(TangentVector, base=point, matrix=_lift(basis[k], tangent[k]))
+        point = _point(basis[k])  # the tangents are copies: the loop writes ``direction`` in place
+        return (point, *(_trusted(TangentVector, base=point, _d=tangent[k].copy())
                          for tangent in (grad, direction)))
 
     # per-problem scalars are lists, and bases and tangents arrays, over the

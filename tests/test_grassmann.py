@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import commutator, complete_frame, random_point, random_tangent, random_unitary
 from grassmean.exceptions import CutLocusError, InvalidInputError
 from grassmean.grassmann import (
+    BASE_MATCH_TOL,
     STIEFEL_TOL,
     TANGENT_TOL,
     GrassmannPoint,
@@ -25,6 +28,7 @@ from grassmean.grassmann import (
     parallel_transport,
     principal_angles,
     projector_from_basis,
+    require_anchored,
     tangent_project,
     zero_tangent,
 )
@@ -135,6 +139,12 @@ def test_tangent_vector_validation_and_arithmetic():
     assert abs((xi + eta - xi).norm() - eta.norm()) < 1e-12
     assert abs((3.0 * xi).norm() - 3.0) < 1e-12
     assert abs(metric(xi, xi) - 1.0) < 1e-12
+    # arithmetic on D is not checked again as a tangent, but a non-finite
+    # factor or an overflow is still rejected, as the constructor rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (lambda: xi * np.inf, lambda: np.nan * xi, lambda: (xi * 1e308) * 1e10):
+            with pytest.raises(InvalidInputError):
+                bad()
     q = random_point(5, 2, rng)
     with pytest.raises(InvalidInputError):
         metric(xi, random_tangent(q, rng, 1.0))
@@ -437,6 +447,70 @@ def test_thin_tangent_defect_matches_the_commutator_form():
                     assert accepted == (oracle < TANGENT_TOL * size), (n, m, oracle / size)
 
 
+def test_base_gap_matches_the_projector_form():
+    # require_anchored compares kept bases, sqrt(2) |X2 - X1 X1^H X2|_F, which
+    # is |P1 - P2|_F. At every rank, for a base and its twin
+    # GrassmannPoint(p.matrix), and for points at 0.5, 0.97, 1.03 and 2 times
+    # BASE_MATCH_TOL from it, built and bare, the basis gap agrees with the
+    # projector form to 1e-14, and accept and reject agree with the projector
+    # form outside a band of that width around BASE_MATCH_TOL
+    rng = np.random.default_rng(61)
+    for n in range(1, 11):
+        for m in range(1, n + 1):
+            base = projector_from_basis(random_unitary(n, rng)[:, :m])
+            vector = random_tangent(base, rng, 1.0) if m < n else zero_tangent(base)
+            points = [GrassmannPoint(base.matrix)]
+            if m < n:
+                step = random_tangent(base, rng, 1.0)
+                for f in (0.5, 0.97, 1.03, 2.0):
+                    # the chordal gap of exp(base, s step) is s to second order in s
+                    near = exp(base, step * (f * BASE_MATCH_TOL))
+                    points += [near, GrassmannPoint(near.matrix)]
+            for point in points:
+                oracle = np.linalg.norm(point.matrix - base.matrix)
+                first, second = (basis_from_projector(q).matrix for q in (base, point))
+                gap = np.sqrt(2.0) * np.linalg.norm(second - first @ (first.conj().T @ second))
+                assert abs(gap - oracle) <= 1e-14, (n, m)
+                if abs(oracle - BASE_MATCH_TOL) <= 1e-14:
+                    continue
+                try:
+                    tangent = require_anchored(vector, point)
+                    accepted = True
+                except InvalidInputError:
+                    accepted = False
+                assert accepted == (oracle <= BASE_MATCH_TOL), (n, m, oracle)
+                if accepted:  # the D at the point's basis is horizontal there, of the same norm
+                    assert np.linalg.norm(second.conj().T @ tangent) <= 1e-14
+                    assert abs(np.sqrt(2.0) * np.linalg.norm(tangent) - vector.norm()) <= 1e-7
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+def test_built_objects_survive_copy_and_pickle_with_their_matrix_bits(copy_of):
+    # a built point holds its basis and a package tangent its D; a copy holds
+    # the same, forms the same matrix bits on first read, and a copy made after
+    # a read keeps them. The hook that forms a matrix answers only for
+    # ``matrix``: copy and pickle look up __setstate__ and the like on an
+    # empty object, and that raises AttributeError, with no recursion
+    rng = np.random.default_rng(67)
+    center = projector_from_basis(random_unitary(5, rng)[:, :2])
+    point = exp(center, random_tangent(center, rng, 0.4))
+    velocity = log(center, point)
+    built = [point, log(point, center), parallel_transport(velocity, velocity, 0.5)]
+    for obj in built:
+        twin = copy_of(obj)
+        assert type(twin) is type(obj) and "matrix" not in vars(twin)
+        assert twin.matrix.tobytes() == obj.matrix.tobytes()
+        again = copy_of(obj)  # the original has formed its matrix now
+        assert "matrix" in vars(again) and again.matrix.tobytes() == obj.matrix.tobytes()
+    for cls, names in ((GrassmannPoint, ("matrix", "__setstate__")),
+                       (TangentVector, ("matrix", "_d", "base", "__setstate__"))):
+        empty = object.__new__(cls)
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(empty, name)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.data())
 def test_tangents_the_package_builds_pass_the_public_check(data):
@@ -470,17 +544,34 @@ def test_tangents_the_package_builds_pass_the_public_check(data):
 
 
 def test_no_operation_on_a_built_point_reads_its_projector():
-    # a built point's geometry runs on the basis it keeps: with its projector
-    # entries overwritten by NaN, every public operation on it stays finite
+    # a built point's geometry runs on the basis it keeps, and a package
+    # tangent's on its horizontal D: no public operation forms the n-by-n
+    # matrix of a built point or a package tangent, given or returned, and
+    # with a point's projector entries overwritten by NaN every public
+    # operation on it stays finite
     rng = np.random.default_rng(47)
     center = projector_from_basis(random_unitary(6, rng)[:, :2])
     others = [exp(center, random_tangent(center, rng, 0.5)) for _ in range(5)]
     point = exp(center, random_tangent(center, rng, 0.2))
     z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    problem = KarcherProblem(others)
+    velocity, moved = 0.3 * log(point, others[0]), tangent_project(point, z + z.conj().T)
+    seen = []
+    objects = [center, *others, point, velocity, moved, log(point, others[1]),
+               exp(point, velocity), geodesic(point, velocity, 0.4),
+               parallel_transport(moved, velocity, 0.7), velocity + moved, velocity - moved,
+               -moved, 2.0 * moved, moved * 0.5, karcher_gradient(problem, point),
+               karcher_mean(problem, callback=lambda it, *objs: seen.extend(objs))[0],
+               karcher_mean(problem, init=point)[0]]
+    readings = [metric(velocity, moved), velocity.norm(), newton_step_cp(problem, point, moved)]
+    assert len(seen) >= 6 and all(np.isfinite(readings))
+    for obj in objects + seen:
+        assert "matrix" not in vars(obj), obj
+        if isinstance(obj, TangentVector):
+            assert "matrix" not in vars(obj.base), obj
     caller = tangent_project(point, z + z.conj().T).matrix
     object.__setattr__(point, "matrix", np.full((6, 6), np.nan, dtype=complex))
     velocity = TangentVector(point, 0.3 * caller / np.linalg.norm(caller))
-    problem = KarcherProblem(others)
     readings = [log(point, others[0]).matrix, exp(point, velocity).matrix,
                 parallel_transport(velocity, velocity, 0.7).matrix,
                 tangent_project(point, z + z.conj().T).matrix,

@@ -103,7 +103,8 @@ class CGIterate:
     shrinks: int = 0  # kernel evaluations of the line search beyond the iterate's own
     noise_floor: bool = False  # the model step 1/N, taken without a comparison
     # why ``restart`` is set, the first that applies: "periodic", "fallback" (a
-    # degenerate coefficient), "forced" (steepest descent searched) or "none"
+    # degenerate coefficient for the next search), "forced" (steepest descent
+    # searched) or "none"
     restart_reason: str = "none"
 
 
@@ -387,11 +388,12 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
 
     ``init`` (a GrassmannPoint) defaults to the Euclidean anchor of the data,
     and then the solver starts from the anchor's basis (``_anchor``).
-    ``callback(iteration, point, grad, direction)``, if given, is called after
-    the initial evaluation and after every accepted update. Returns ``(point,
-    trace)``. Unrecoverable failures (cut locus at an iterate, exhausted line
-    search, degenerate Newton curvature) raise the corresponding error with
-    the partial trace attached as ``err.trace``.
+    ``callback(iteration, point, grad, direction)``, if given, is called after the
+    initial evaluation and after every accepted update; ``direction`` is the one the
+    next step searches unless it restarts, and -grad at the last iterate and at the
+    noise floor. Returns ``(point, trace)``. Unrecoverable failures (cut locus at an
+    iterate, exhausted line search, degenerate Newton curvature) raise the
+    corresponding error with the partial trace attached as ``err.trace``.
 
     The search direction, the trace's grad_norm column, the grad_tol stopping
     test and the callback's ``grad`` use the residual field -sum(log_P(Q_i)),
@@ -428,22 +430,21 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
 
     # per-problem scalars are lists, and bases and tangents arrays, over the
     # running problems in problem order
+    noise_floor = [False] * len(ids)  # set at the iterate before, whose direction is then -grad
     for iteration in range(config.max_iter + 1):
         size = len(ids)
-        errors, capped, forced = [None] * size, [False] * size, [False] * size
-        noise_floor, shrinks = [False] * size, [0] * size
+        # the floor flags are numpy bools; ``forced`` keeps the Python bools it held
+        errors, capped, forced = [None] * size, [False] * size, list(map(bool, noise_floor))
+        shrinks = [0] * size
         steps = [first_step if iteration else 0.0] * size
         if iteration:
             # slopes of the mean cost, 2/N times those along the residual field
             slopes = (2.0 * first_step * _metric(grad, direction)).tolist()
-            steepest = [-2.0 * first_step * g * g for g in gnorm]
-            noise_floor = [backtrack and _at_noise_floor(-first_step * s, c)
-                           for s, c in zip(steepest, cost)]
             for k in range(size):
-                # a direction whose Armijo test would be rounding noise, or no
-                # descent at all, restarts from steepest descent
-                if noise_floor[k] or not slopes[k] < 0.0 or (
-                        backtrack and _at_noise_floor(-first_step * slopes[k], cost[k])):
+                # off the noise floor (where it is -grad), a direction whose Armijo test
+                # would be rounding noise, or no descent at all, restarts from steepest descent
+                if not noise_floor[k] and (not slopes[k] < 0.0 or (
+                        backtrack and _at_noise_floor(-first_step * slopes[k], cost[k]))):
                     direction[k], slopes[k], forced[k] = -grad[k], steepest[k], True
             if not backtrack:
                 step, errors = _newton_step(factors, adjoint, direction, angles, np.array(slopes))
@@ -480,8 +481,15 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
         else:
             angles, new_cost, new_grad, cut, factors = _evaluate(adjoint, basis)
         new_cost, new_gnorm = new_cost.tolist(), np.sqrt(_metric(new_grad, new_grad)).tolist()
+        errors = [err or (CutLocusError(index=i) if i >= 0 else None)
+                  for err, i in zip(errors, cut.tolist())]
+        keep = [err is None and g >= config.grad_tol for err, g in zip(errors, new_gnorm)]
+        steepest = [-2.0 * first_step * g * g for g in new_gnorm]
+        floor = [backtrack and _at_noise_floor(-first_step * s, c)
+                 for s, c in zip(steepest, new_cost)]
         periodic = iteration > 0 and iteration % period == 0
-        if iteration == 0 or periodic:
+        search = [go and not low for go, low in zip(keep, floor)]
+        if iteration in (0, config.max_iter) or periodic or not any(search):
             fallback, new_direction = [False] * size, -new_grad
         else:
             # the old gradient and direction, carried to the new basis in one product
@@ -489,11 +497,12 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
             coeff, fallback = _coefficient(config.direction_rule, new_grad,
                                            carried[..., :m], carried[..., m:])
             new_direction = -new_grad + coeff[:, np.newaxis, np.newaxis] * carried[..., m:]
+            for k in [k for k, go in enumerate(search) if not go]:  # they stop, or search -grad
+                fallback[k], new_direction[k] = False, -new_grad[k]
         rule = "init" if iteration == 0 else config.direction_rule
-        for k, i in enumerate(cut.tolist()):
-            errors[k] = errors[k] or (CutLocusError(index=i) if i >= 0 else None)
-            if errors[k]:
-                failed[ids[k]] = errors[k]
+        for k, err in enumerate(errors):
+            if err:
+                failed[ids[k]] = err
                 continue
             sd = periodic or bool(fallback[k])
             reason = "periodic" if periodic else "fallback" if sd else (
@@ -501,17 +510,17 @@ def karcher_mean(problem: KarcherProblem, init: GrassmannPoint = None,
             traces[ids[k]].iterates.append(CGIterate(
                 iteration, new_cost[k], new_gnorm[k], steps[k], "sd" if sd else rule,
                 sd or forced[k], capped[k], shrinks[k], noise_floor[k], reason))
-        grad, cost, gnorm, direction = new_grad, new_cost, new_gnorm, new_direction
+        grad, cost, direction, noise_floor = new_grad, new_cost, new_direction, floor
         if callback is not None and not all(errors):
             rows = {ids[k]: view(k) for k, err in enumerate(errors) if err is None}
             callback(iteration, *zip(*(rows.get(b, (None,) * 3) for b in range(len(traces))))
                      if batched else rows[0])
-        keep = [err is None and g >= config.grad_tol for err, g in zip(errors, gnorm)]
         if not all(keep):
             result[ids] = basis
             if not any(keep):
                 break
-            ids, cost, gnorm = ([v for v, go in zip(part, keep) if go] for part in (ids, cost, gnorm))
+            ids, cost, steepest, noise_floor = ([v for v, go in zip(part, keep) if go]
+                                                for part in (ids, cost, steepest, noise_floor))
             keep = np.array(keep)
             adjoint, basis, angles, grad, direction, *factors = (
                 part[keep] for part in (adjoint, basis, angles, grad, direction, *factors))

@@ -264,18 +264,42 @@ def test_steps_follow_geodesics_and_directions_are_transported(m, step_rule):
     seen = []
     _, trace = karcher_mean(KarcherProblem(points), config=CGConfig(step_rule=step_rule),
                             callback=lambda *args: seen.append(args[1:]))
-    checked = 0
+    # the callback's direction is the one the next step moves along, -grad
+    # where that search starts at the noise floor; only a search that restarts
+    # from steepest descent off the floor moves along another
+    checked = moved_on_floor = 0
     for before, after, item in zip(seen, seen[1:], trace.iterates[1:]):
+        (p0, _, d0), (p1, g1, d1) = before, after
+        if item.restart_reason == "forced" and not item.noise_floor:
+            continue
+        assert np.linalg.norm(geodesic(p0, d0, item.step_size).matrix - p1.matrix) < 1e-12
+        moved_on_floor += item.noise_floor
         if item.restart:
             continue
-        (p0, _, d0), (p1, g1, d1) = before, after
-        assert np.linalg.norm(geodesic(p0, d0, item.step_size).matrix - p1.matrix) < 1e-10
         moved = parallel_transport(d0, d0, item.step_size).matrix
         rest = d1.matrix + g1.matrix
         beta = np.vdot(moved, rest).real / np.vdot(moved, moved).real
         assert np.linalg.norm(rest - beta * moved) < 1e-8 * np.linalg.norm(rest) + 1e-13 * g1.norm()
         checked += 1
-    assert checked >= 2
+    assert checked >= 2 and moved_on_floor >= (step_rule == "backtracking")
+
+
+@pytest.mark.parametrize("rule", ["dy", "hs"])
+def test_a_coefficient_is_formed_only_for_a_direction_that_is_searched(monkeypatch, rule):
+    # the coefficient at iterate k - 1 builds the direction that the step to
+    # iterate k searches, unless that step starts at the noise floor (and
+    # searches -grad) or iterate k - 1 starts the solve or restarts
+    # periodically; none is formed at the last iterate
+    coefficient, calls = karcher._coefficient, []
+    monkeypatch.setattr(karcher, "_coefficient",
+                        lambda *args: calls.append(args[0]) or coefficient(*args))
+    _, problem = ball_problem(5, 2, 10, 0.5, seed=37)
+    _, trace = karcher_mean(problem, config=CGConfig(direction_rule=rule))
+    rows = trace.iterates
+    assert trace.converged and any(row.noise_floor for row in rows)
+    assert len(calls) == sum(
+        not row.noise_floor and before.direction_rule != "init"
+        and before.restart_reason != "periodic" for before, row in zip(rows, rows[1:]))
 
 
 def test_default_config_converges_on_clouds_at_4_2_20():
@@ -747,7 +771,9 @@ def test_restart_reason_names_each_restart(monkeypatch):
     assert [r == "periodic" for r in reasons] == [i > 0 and i % 3 == 0 for i in range(len(reasons))]
 
     # the second coefficient (iteration 2) degenerates, and the third search
-    # (iteration 3) fails once and is retried from steepest descent
+    # (iteration 3) fails once and is retried from steepest descent; under
+    # Hestenes-Stiefel, because the default rule solves this cloud in two
+    # searches, and its third starts at the noise floor
     coefficient, search, calls = karcher._coefficient, karcher.backtracking_step, []
 
     def degenerate_once(rule, *args):
@@ -766,9 +792,10 @@ def test_restart_reason_names_each_restart(monkeypatch):
     monkeypatch.setattr(karcher, "_coefficient", degenerate_once)
     monkeypatch.setattr(karcher, "backtracking_step", fails_once)
     _, problem = ball_problem(5, 2, 10, 0.5, seed=37)
-    _, trace = karcher_mean(problem)
+    _, trace = karcher_mean(problem, config=CGConfig(direction_rule="hs"))
     assert trace.converged
     assert check(trace)[:4] == ["none", "none", "fallback", "forced"]
+    assert not trace.iterates[3].noise_floor  # the retry, not the floor, forces row 3
 
 
 def test_unitary_equivariance_of_the_mean():
